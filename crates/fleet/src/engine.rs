@@ -1358,9 +1358,13 @@ mod tests {
         };
         type EngineResults = (Vec<(u64, f64)>, Vec<(CellId, f64)>);
         let mut reference: Option<EngineResults> = None;
+        // `workers: 0` resolves to auto (one fewer than the host's
+        // threads); every count is capped at the shard count.
+        let auto = std::thread::available_parallelism().map_or(0, |p| usize::from(p) - 1);
         for workers in [0usize, 1, 3] {
             let mut engine = engine_with_workers(200, 5, workers);
-            assert_eq!(engine.worker_threads(), workers);
+            let resolved = if workers == 0 { auto } else { workers }.min(5);
+            assert_eq!(engine.worker_threads(), resolved, "workers={workers}");
             feed(&mut engine);
             let (absorbed, estimated) = engine.process_pending();
             assert_eq!((absorbed, estimated), (200, 200), "workers={workers}");

@@ -9,11 +9,13 @@
 //! consumed exactly as fast as allowed; burn 10 means ten times too fast.
 //!
 //! The classic multi-window rule: an alert level is reached only when
-//! **both** windows burn above its threshold — the fast window proves the
-//! problem is happening *now*, the slow window proves it is not a blip.
-//! Recovery is the same test in reverse (both windows must drop below the
-//! level's threshold), which gives natural hysteresis: a paging SLO stays
-//! paged until the slow window has genuinely drained.
+//! **both** windows burn at or above its threshold — the fast window
+//! proves the problem is happening *now*, the slow window proves it is not
+//! a blip. Recovery is governed by the slow window alone: a level is left
+//! only once the slow burn drops below its threshold, and then to the
+//! level the slow burn still supports. That is the hysteresis: a paging
+//! SLO stays paged until the slow window has genuinely drained, however
+//! quickly the fast window clears.
 //!
 //! The serve tier feeds one tracker per SLO
 //! ([latency](https://sre.google/workbook/alerting-on-slos/)-style:
@@ -27,11 +29,14 @@ use std::collections::VecDeque;
 /// Alert level of one SLO, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AlertState {
-    /// Burn below the warning threshold in at least one window.
+    /// No alert: never escalated, or the slow window has drained below
+    /// the warn threshold.
     Ok,
-    /// Both windows burn at ≥ the warn threshold.
+    /// Escalated when both windows burned at ≥ the warn threshold; held
+    /// while the slow window stays at or above it.
     Warning,
-    /// Both windows burn at ≥ the page threshold.
+    /// Escalated when both windows burned at ≥ the page threshold; held
+    /// while the slow window stays at or above it.
     Page,
 }
 
@@ -194,7 +199,8 @@ pub struct SloTracker {
 }
 
 /// Cap on retained transitions — a flapping SLO must not grow memory
-/// unboundedly; the latest transitions are the interesting ones anyway.
+/// unboundedly; the latest transitions are the interesting ones, so the
+/// oldest is dropped first.
 const MAX_TRANSITIONS: usize = 256;
 
 impl SloTracker {
@@ -225,16 +231,11 @@ impl SloTracker {
         let fast_burn = self.fast_burn();
         let slow_burn = self.slow_burn();
         self.worst_fast_burn = self.worst_fast_burn.max(fast_burn);
-        // Both windows must agree on the level — min() is the burn both
-        // windows are at or above.
-        let agreed = fast_burn.min(slow_burn);
-        let next = if agreed >= self.spec.page_burn {
-            AlertState::Page
-        } else if agreed >= self.spec.warn_burn {
-            AlertState::Warning
-        } else {
-            AlertState::Ok
-        };
+        // Escalate to the level both windows reach (min() is the burn both
+        // are at or above); otherwise hold the current level until the
+        // slow window alone drops below it.
+        let escalated = self.level(fast_burn.min(slow_burn));
+        let next = escalated.max(self.state.min(self.level(slow_burn)));
         if next == self.state {
             return None;
         }
@@ -246,10 +247,22 @@ impl SloTracker {
             slow_burn,
         };
         self.state = next;
-        if self.transitions.len() < MAX_TRANSITIONS {
-            self.transitions.push(transition.clone());
+        if self.transitions.len() == MAX_TRANSITIONS {
+            self.transitions.remove(0);
         }
+        self.transitions.push(transition.clone());
         Some(transition)
+    }
+
+    /// The highest level whose threshold `burn` reaches.
+    fn level(&self, burn: f64) -> AlertState {
+        if burn >= self.spec.page_burn {
+            AlertState::Page
+        } else if burn >= self.spec.warn_burn {
+            AlertState::Warning
+        } else {
+            AlertState::Ok
+        }
     }
 
     /// Current alert state.
@@ -272,7 +285,7 @@ impl SloTracker {
         self.worst_fast_burn
     }
 
-    /// Every recorded state transition (capped at 256).
+    /// The latest 256 state transitions, oldest first.
     pub fn transitions(&self) -> &[SloTransition] {
         &self.transitions
     }
@@ -397,7 +410,126 @@ mod tests {
                 t.observe(tick, 100, 0);
             }
         }
-        assert!(t.transitions().len() <= MAX_TRANSITIONS);
+        let transitions = t.transitions();
+        assert_eq!(transitions.len(), MAX_TRANSITIONS);
+        // The log keeps the latest transitions, oldest first.
+        assert_eq!(transitions.last().expect("transition").tick, 1999);
+        assert!(transitions.windows(2).all(|w| w[0].tick < w[1].tick));
+    }
+
+    /// splitmix64: a seeded stream for the property tests below.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    fn threshold(spec: &SloSpec, state: AlertState) -> f64 {
+        match state {
+            AlertState::Ok => 0.0,
+            AlertState::Warning => spec.warn_burn,
+            AlertState::Page => spec.page_burn,
+        }
+    }
+
+    /// Random specs under random phased traffic (healthy, bursts of
+    /// random badness, clean recovery): a page never clears while the slow
+    /// burn is at the page threshold, every escalation is backed by both
+    /// windows, and every de-escalation by the slow window dropping below
+    /// the level left.
+    #[test]
+    fn seeded_hysteresis_invariants_hold() {
+        let mut pages = 0;
+        for seed in 0..64 {
+            let mut rng = Stream(seed);
+            let fast = 1 + rng.below(8) as usize;
+            let warn_burn = 1.0 + 3.0 * rng.unit();
+            let spec = SloSpec {
+                name: "prop",
+                budget: 0.01 + 0.2 * rng.unit(),
+                fast_window: fast,
+                slow_window: fast + rng.below(32) as usize,
+                warn_burn,
+                page_burn: warn_burn + 1.0 + 10.0 * rng.unit(),
+            };
+            let mut t = SloTracker::new(spec.clone());
+            for tick in 0..600 {
+                let volume = rng.below(200);
+                let bad_frac = match (tick / 50) % 3 {
+                    0 => 0.0,
+                    1 => rng.unit(),
+                    _ => 0.3 + 0.7 * rng.unit(),
+                };
+                let bad = (volume as f64 * bad_frac) as u64;
+                let before = t.state();
+                t.observe(tick, volume - bad, bad);
+                let (state, fast_burn, slow_burn) = (t.state(), t.fast_burn(), t.slow_burn());
+                pages += usize::from(state == AlertState::Page);
+                let context = format!("seed {seed} tick {tick}: {before:?} -> {state:?}");
+                if before == AlertState::Page && slow_burn >= spec.page_burn {
+                    assert_eq!(state, AlertState::Page, "{context}");
+                }
+                if state > before {
+                    assert!(
+                        fast_burn.min(slow_burn) >= threshold(&spec, state),
+                        "{context}"
+                    );
+                }
+                if state < before {
+                    assert!(slow_burn < threshold(&spec, before), "{context}");
+                }
+                assert!(slow_burn >= threshold(&spec, state), "{context}");
+            }
+        }
+        assert!(pages > 0, "the traffic must exercise the page level");
+    }
+
+    /// One fully bad tick in steady traffic never pages, wherever it
+    /// lands, as long as the slow window dilutes it below the page burn —
+    /// which every spec here does (slow window × budget × page burn > 1).
+    #[test]
+    fn seeded_single_bad_tick_never_pages() {
+        for seed in 0..64 {
+            let mut rng = Stream(1000 + seed);
+            let slow = 16 + rng.below(49) as usize;
+            let spec = SloSpec {
+                name: "prop",
+                budget: 0.01 + 0.09 * rng.unit(),
+                fast_window: 1 + rng.below(slow as u64) as usize,
+                slow_window: slow,
+                warn_burn: 2.0,
+                page_burn: 10.0 + 20.0 * rng.unit(),
+            };
+            let volume = 50 + rng.below(100);
+            let bad_tick = slow as u64 + rng.below(3 * slow as u64);
+            let mut t = SloTracker::new(spec.clone());
+            for tick in 0..bad_tick + 2 * slow as u64 {
+                // Healthy ticks stay within budget (burn ≤ 1).
+                let bad = if tick == bad_tick {
+                    volume
+                } else {
+                    (volume as f64 * spec.budget * rng.unit()) as u64
+                };
+                t.observe(tick, volume - bad, bad);
+                assert_ne!(t.state(), AlertState::Page, "seed {seed} tick {tick}");
+            }
+            // The fast window did see it: at least 1/fast of it was bad.
+            assert!(t.worst_fast_burn() * spec.fast_window as f64 * spec.budget >= 1.0 - 1e-9);
+        }
     }
 
     #[test]

@@ -68,6 +68,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod directory;
 pub mod health;
 pub mod ring;
 pub mod router;

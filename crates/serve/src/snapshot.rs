@@ -22,6 +22,13 @@
 //!   makes tier outputs bit-identical across engine counts, per-engine
 //!   shard counts, and worker counts: placement changes where a cell
 //!   lives, never where it lands in the sorted sweep.
+//! - Id order costs no sort on a steady tick: the tier's id directory
+//!   (`directory` module) remembers each swept cell's rank and writes its
+//!   breakdown straight there. Only a membership change (register,
+//!   deregister, a cell's first report, a lane crash or recovery) ranks
+//!   the cells afresh and rebuilds the directory. Both paths hand
+//!   [`ServeSnapshot`] the same id-ascending cells, so its contents and
+//!   aggregates do not depend on which one ran.
 
 use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetStats};
 use std::sync::{Arc, RwLock};
@@ -61,15 +68,18 @@ impl ServeSnapshot {
         }
     }
 
-    /// Builds a snapshot from an unsorted cell sweep: sorts by id and
-    /// folds the aggregates in that canonical order.
+    /// Builds a snapshot from an id-ascending cell sweep, folding the
+    /// aggregates in that canonical order.
     pub(crate) fn build(
         tick: u64,
         registered: usize,
         live_engines: usize,
-        mut cells: Vec<(CellId, EstimateBreakdown)>,
+        cells: Vec<(CellId, EstimateBreakdown)>,
     ) -> Self {
-        cells.sort_unstable_by_key(|(id, _)| *id);
+        debug_assert!(
+            cells.windows(2).all(|w| w[0].0 < w[1].0),
+            "snapshot cells must be strictly id-ascending"
+        );
         let mut stats = FleetStats {
             cells: registered,
             reporting: 0,
@@ -202,10 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn build_sorts_and_aggregates_in_id_order() {
-        let snap = ServeSnapshot::build(3, 5, 2, vec![cell(9, 0.2), cell(1, 0.8), cell(4, 0.5)]);
-        let ids: Vec<u64> = snap.cells.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec![1, 4, 9]);
+    fn build_aggregates_in_id_order() {
+        let snap = ServeSnapshot::build(3, 5, 2, vec![cell(1, 0.8), cell(4, 0.5), cell(9, 0.2)]);
         let stats = snap.stats();
         assert_eq!(stats.cells, 5);
         assert_eq!(stats.reporting, 3);

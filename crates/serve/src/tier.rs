@@ -9,7 +9,7 @@
 //!                                        │
 //! tick():  drain ≤ capacity frames ──▶ engine.ingest ──▶ process_pending
 //!                                        │
-//!          for_each_breakdown sweep ──▶ ServeSnapshot (id-sorted) ──▶ publish
+//!          for_each_breakdown sweep ──▶ id directory ──▶ ServeSnapshot ──▶ publish
 //!                                        │
 //! readers ──SnapshotReader::snapshot──▶ Arc clone, query off-lock
 //! ```
@@ -20,16 +20,20 @@
 //! engines' own [`pinnsoc_fleet::AbsorbOutcome`] accounting — duplicates,
 //! non-finite fields, time-reversed stamps, unknown cells — lands in the
 //! per-tick [`TickReport::telemetry`] delta.
+//!
+//! The sweep lands in id order without a per-tick sort: the id directory
+//! (see the `directory` module) remembers each swept cell's rank while the
+//! swept id sequence stays the same, and re-sorts only on the tick where
+//! it changes.
 
+use crate::directory::IdDirectory;
 use crate::health::{HealthBoard, LaneHealth, ServeSlo, SloConfig, SloReport, SloSummary};
 use crate::ring::IngestRing;
 use crate::router::EngineRouter;
 use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotSlot};
 use pinnsoc::SocModel;
 use pinnsoc_durable::{record_recovery, recover, DurableConfig, DurableFleet, RecoveryReport};
-use pinnsoc_fleet::{
-    CellConfig, CellId, EstimateBreakdown, FleetConfig, FleetEngine, Telemetry, TelemetryStats,
-};
+use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry, TelemetryStats};
 use pinnsoc_obs::{FlightRecorder, MetricId, ObsHub, TraceSink};
 use std::io;
 use std::path::PathBuf;
@@ -278,9 +282,11 @@ pub struct ServeTier {
     lanes: Vec<Lane>,
     router: EngineRouter,
     slot: Arc<SnapshotSlot>,
-    /// Reclaimed snapshot buffer (double-buffering: this and the one
-    /// readers hold alternate in steady state).
-    spare: Option<Vec<(CellId, EstimateBreakdown)>>,
+    /// The snapshot the last publish displaced (double-buffering: its
+    /// cell buffer is reclaimed next tick unless a reader still pins it).
+    displaced: Option<Arc<ServeSnapshot>>,
+    /// Sweep position → rank in id order, reused while membership holds.
+    directory: IdDirectory,
     tick: u64,
     config: ServeConfig,
     obs: Option<ServeObs>,
@@ -330,7 +336,8 @@ impl ServeTier {
             lanes,
             router,
             slot: SnapshotSlot::new(),
-            spare: None,
+            displaced: None,
+            directory: IdDirectory::default(),
             tick: 0,
             config,
             obs: None,
@@ -606,26 +613,26 @@ impl ServeTier {
             }
         }
 
-        // Snapshot sweep: every live engine's reporting cells, then one
-        // id sort for the canonical order (see `snapshot` module docs).
+        // Snapshot sweep: every live engine's reporting cells, placed in
+        // id order by the directory (sorting only when membership changed;
+        // see the `directory` module docs).
         let publish_start = tracing.then(Instant::now);
+        // A reader that pinned the displaced snapshot has had a whole tick
+        // to let go; only if it still holds on does this tick allocate.
         let mut cells = self
-            .spare
+            .displaced
             .take()
-            .map(|mut v| {
-                v.clear();
-                v
-            })
+            .and_then(|previous| Arc::try_unwrap(previous).ok())
+            .map(|previous| previous.cells)
             .unwrap_or_default();
-        let mut registered = 0usize;
-        let mut live_engines = 0usize;
-        for lane in &self.lanes {
-            if let Some(engine) = lane.backend.engine() {
-                live_engines += 1;
-                registered += engine.len();
-                engine.for_each_breakdown(|id, breakdown| cells.push((id, breakdown)));
-            }
+        let engines = || self.lanes.iter().filter_map(|lane| lane.backend.engine());
+        let registered: usize = engines().map(FleetEngine::len).sum();
+        let live_engines = engines().count();
+        let mut placement = self.directory.placement(&mut cells, registered);
+        for engine in engines() {
+            engine.for_each_breakdown(|id, breakdown| placement.place(id, breakdown));
         }
+        placement.finish();
         let snapshot = Arc::new(ServeSnapshot::build(
             self.tick,
             registered,
@@ -633,10 +640,7 @@ impl ServeTier {
             cells,
         ));
         let snapshot_cells = snapshot.cells.len();
-        let previous = self.slot.publish(snapshot);
-        if let Ok(previous) = Arc::try_unwrap(previous) {
-            self.spare = Some(previous.cells);
-        }
+        self.displaced = Some(self.slot.publish(snapshot));
 
         let published = Instant::now();
         if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), publish_start) {

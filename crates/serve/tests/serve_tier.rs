@@ -6,7 +6,7 @@ use pinnsoc_fleet::testing::untrained_model;
 use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, Telemetry};
 use pinnsoc_serve::{IngestOutcome, ServeConfig, ServeTier};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const CELLS: u64 = 60;
 const TICKS: u64 = 9;
@@ -263,15 +263,20 @@ fn concurrent_readers_see_monotonic_consistent_snapshots() {
     let handle = tier.handle();
     let reader = tier.reader();
     let stop = Arc::new(AtomicBool::new(false));
+    // Ticks start only once every reader has answered one query, so a
+    // fast tick loop cannot finish before a reader thread gets scheduled.
+    const READERS: usize = 4;
+    let started = Arc::new(Barrier::new(READERS + 1));
 
     let mut readers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..READERS {
         let reader = reader.clone();
         let stop = Arc::clone(&stop);
+        let started = Arc::clone(&started);
         readers.push(std::thread::spawn(move || {
             let mut last_tick = 0u64;
             let mut queries = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let snapshot = reader.snapshot();
                 assert!(
                     snapshot.tick >= last_tick,
@@ -284,11 +289,18 @@ fn concurrent_readers_see_monotonic_consistent_snapshots() {
                 assert_eq!(histogram.iter().sum::<usize>(), snapshot.cells.len());
                 assert!(snapshot.cells_below(0.0).is_empty());
                 queries += 1;
+                if queries == 1 {
+                    started.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             queries
         }));
     }
 
+    started.wait();
     for tick in 1..=40 {
         for id in 0..CELLS {
             assert!(handle.ingest(id, feed(tick, id)).enqueued());
