@@ -387,7 +387,8 @@ fn main() {
                       must finish bit-identical to an uncrashed control"
             .into(),
         max_overhead_frac: MAX_OVERHEAD_FRAC,
-        host: host_info(0),
+        // The worker count the measured engines resolved `workers: 0` to.
+        host: host_info(new_engine(0).worker_threads()),
         wal,
         recovery,
         crash_loop_crashes: crashes,

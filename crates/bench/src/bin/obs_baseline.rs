@@ -458,7 +458,8 @@ fn main() {
                       an observed closed-loop adaptation session"
             .into(),
         max_overhead_frac: MAX_OVERHEAD_FRAC,
-        host: host_info(0),
+        // The worker count the measured engines resolved `workers: 0` to.
+        host: host_info(new_engine(&model, 0).worker_threads()),
         fleet,
         scenario_reports_bit_identical: scenario_ok,
         adapt_sessions_bit_identical: adapt_ok,

@@ -36,7 +36,7 @@
 
 use pinnsoc_bench::{host_info, HostInfo};
 use pinnsoc_fleet::testing::untrained_model;
-use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
+use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, Telemetry};
 use pinnsoc_obs::{AlertState, ObsHub, SloSpec};
 use pinnsoc_scenario::{FaultChannel, FaultModel};
 use pinnsoc_serve::{ServeConfig, ServeTier, SloConfig, SloReport};
@@ -111,19 +111,25 @@ fn telemetry(step: u64, id: u64) -> Telemetry {
     }
 }
 
+/// Every measured engine's configuration (`workers: 0` resolves to one
+/// less than the host's available parallelism).
+fn fleet_config() -> FleetConfig {
+    FleetConfig {
+        shards: SHARDS,
+        micro_batch: 512,
+        workers: 0,
+        ekf_fallback: None,
+        ..FleetConfig::default()
+    }
+}
+
 fn build_tier(cells: usize, engines: usize, ring_capacity: usize) -> ServeTier {
     let mut tier = ServeTier::new(
         untrained_model(),
         ServeConfig {
             engines,
             ring_capacity,
-            fleet: FleetConfig {
-                shards: SHARDS,
-                micro_batch: 512,
-                workers: 0,
-                ekf_fallback: None,
-                ..FleetConfig::default()
-            },
+            fleet: fleet_config(),
             durability: None,
         },
     )
@@ -552,7 +558,8 @@ fn main() {
                       SLO engine driven through a healthy -> backpressure-flood -> \
                       recovery alerting cycle"
             .into(),
-        host: host_info(0),
+        // The worker count the measured engines resolved `workers: 0` to.
+        host: host_info(FleetEngine::new(untrained_model(), fleet_config()).worker_threads()),
         router_engines: ENGINES,
         ring_capacity,
         cells,

@@ -259,6 +259,19 @@ impl DurableFleet {
         self.engine.ingest(id, telemetry)
     }
 
+    /// [`Self::ingest`] for a batch: logs every report in arrival order,
+    /// then hands the batch to [`FleetEngine::ingest_batch`]. The WAL
+    /// bytes and engine state are identical to ingesting frame by frame.
+    /// Returns how many frames addressed registered cells.
+    pub fn ingest_batch(&mut self, frames: &[(CellId, Telemetry)]) -> usize {
+        for &(id, telemetry) in frames {
+            self.wal
+                .append(WalOp::Report { id, telemetry })
+                .expect(FIXED_WIDTH_OP);
+        }
+        self.engine.ingest_batch(frames)
+    }
+
     /// One durable tick: processes queued telemetry, appends the commit
     /// record, flushes the WAL buffer to disk, and — on the configured
     /// cadence — snapshots and truncates the log.

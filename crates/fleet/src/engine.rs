@@ -194,6 +194,10 @@ impl StageTimes {
     }
 }
 
+/// Slot marker for an unregistered id in [`FleetEngine::ingest_batch`]'s
+/// resolution buffer (slots are `u32`, as in the dirty lists).
+const UNKNOWN_SLOT: u32 = u32::MAX;
+
 /// One shard: a slice of the fleet, owned by the engine between ticks and
 /// handed to the worker pool (by move) during batch passes.
 #[derive(Debug)]
@@ -434,6 +438,9 @@ pub struct FleetEngine {
     /// Reused tick buffers (see [`WorkerPool::run`]).
     tick_tasks: Vec<(usize, Shard)>,
     tick_done: Vec<Done>,
+    /// Reused `(shard, slot)` resolutions for [`FleetEngine::ingest_batch`]
+    /// (`UNKNOWN_SLOT` marks an unregistered id).
+    resolved: Vec<(u32, u32)>,
     /// Per-stage time accumulated from completed shard passes.
     stage_times: StageTimes,
     /// Reports addressed to unregistered ids (rejected before sharding).
@@ -492,6 +499,7 @@ impl FleetEngine {
             features: Matrix::zeros(1, 1),
             tick_tasks: Vec::new(),
             tick_done: Vec::new(),
+            resolved: Vec::new(),
             stage_times: StageTimes::default(),
             unknown_cells: 0,
             obs: None,
@@ -729,6 +737,40 @@ impl FleetEngine {
                 false
             }
         }
+    }
+
+    /// Accepts a batch of reports in arrival order — observably identical
+    /// to calling [`FleetEngine::ingest`] on each frame in turn (cell
+    /// state, telemetry books, dirty order, estimates), but in two phases:
+    /// first every frame's `(shard, slot)` is resolved into a reused
+    /// buffer, then every resolved frame is absorbed. Separating the index
+    /// loads from the absorbs lets a drain of thousands of frames keep many
+    /// independent cache misses in flight instead of serializing each
+    /// absorb behind its own lookup. Frames are absorbed unsorted, in
+    /// arrival order, so a cell reporting several times in one batch
+    /// integrates its reports exactly as the per-frame path would.
+    /// Returns how many frames addressed registered cells; the rest count
+    /// as unknown-cell rejects.
+    pub fn ingest_batch(&mut self, frames: &[(CellId, Telemetry)]) -> usize {
+        let shards = self.config.shards;
+        let mut resolved = std::mem::take(&mut self.resolved);
+        resolved.clear();
+        resolved.extend(frames.iter().map(|&(id, _)| {
+            let (shard_idx, key) = Self::route(shards, id);
+            let slot = self.shard(shard_idx).index.get(key);
+            (shard_idx as u32, slot.map_or(UNKNOWN_SLOT, |s| s as u32))
+        }));
+        let mut known = 0;
+        for (&(shard_idx, slot), &(_, telemetry)) in resolved.iter().zip(frames) {
+            if slot != UNKNOWN_SLOT {
+                self.shard_mut(shard_idx as usize)
+                    .absorb_one(slot as usize, telemetry);
+                known += 1;
+            }
+        }
+        self.unknown_cells += (frames.len() - known) as u64;
+        self.resolved = resolved;
+        known
     }
 
     /// Refreshes network estimates for every cell touched since the last

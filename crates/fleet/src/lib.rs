@@ -27,6 +27,11 @@
 //!   ([`pinnsoc::SocModel::estimate_features_into`] /
 //!   [`pinnsoc::SocModel::predict_uniform_into`]) — one fused GEMM per
 //!   layer per batch instead of one tiny GEMM per cell.
+//! - [`FleetEngine::ingest_batch`] takes a whole drain at once: it
+//!   resolves every frame's `(shard, slot)` first, then absorbs the frames
+//!   in arrival order through the same per-report absorb as
+//!   [`FleetEngine::ingest`], so the two are observably identical while
+//!   the batched form overlaps the index lookups' cache misses.
 //! - [`ModelRegistry`] hot-swaps trained models (loaded via
 //!   `pinnsoc-nn::persist`) without stalling in-flight readers: workers pin
 //!   an `Arc` snapshot per pass, so a swap lands at the next pass.

@@ -89,12 +89,26 @@ impl<T> IngestRing<T> {
         self.overflow.load(Ordering::Relaxed)
     }
 
-    /// Approximate occupancy — exact when no producer or consumer is
-    /// mid-operation.
+    /// Approximate occupancy, always within `0..=capacity()` — exact when
+    /// no producer or consumer is mid-operation.
+    ///
+    /// The dequeue cursor is read first: it never passes the enqueue
+    /// cursor, so a later enqueue read is not behind it in practice
+    /// (reading in the other order lets a drain overtake a stale enqueue
+    /// value and wrap the difference to ~2^64). Both loads are `Relaxed` —
+    /// the value is a statistic and publishes no data — so the memory
+    /// model does not promise that order; a negative difference reads as
+    /// empty. Between the two reads producers may refill what consumers
+    /// freed, so the difference is clamped to capacity.
     pub fn len(&self) -> usize {
-        self.enqueue_pos
-            .load(Ordering::Relaxed)
-            .wrapping_sub(self.dequeue_pos.load(Ordering::Relaxed))
+        let dequeued = self.dequeue_pos.load(Ordering::Relaxed);
+        let enqueued = self.enqueue_pos.load(Ordering::Relaxed);
+        let occupied = enqueued.wrapping_sub(dequeued);
+        if (occupied as isize) < 0 {
+            0
+        } else {
+            occupied.min(self.capacity())
+        }
     }
 
     /// Whether the ring is (approximately) empty.
@@ -252,6 +266,65 @@ mod tests {
             }
         }
         assert_eq!(ring.overflow_total(), 0);
+    }
+
+    /// `len` read from a third thread while a producer and a consumer
+    /// race never leaves `0..=capacity` (it used to wrap to ~2^64 when a
+    /// drain overtook its stale enqueue read).
+    #[test]
+    fn len_stays_within_capacity_under_concurrent_traffic() {
+        use std::sync::atomic::AtomicBool;
+        const FRAMES: u64 = 1_000_000;
+        let ring = Arc::new(IngestRing::with_capacity(64));
+        let done = Arc::new(AtomicBool::new(false));
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                for i in 0..FRAMES {
+                    while ring.push(i).is_err() {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let consumer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let mut popped = 0;
+                while popped < FRAMES {
+                    if ring.pop().is_some() {
+                        popped += 1;
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let observer = {
+            let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut reads = 0u64;
+                let mut worst = 0;
+                while !done.load(Ordering::Relaxed) || reads < 1_000 {
+                    worst = worst.max(ring.len());
+                    reads += 1;
+                    if reads.is_multiple_of(1024) {
+                        std::thread::yield_now();
+                    }
+                }
+                worst
+            })
+        };
+        producer.join().expect("producer");
+        consumer.join().expect("consumer");
+        done.store(true, Ordering::Relaxed);
+        let worst = observer.join().expect("observer");
+        assert!(
+            worst <= ring.capacity(),
+            "len() reported {worst} on a {}-slot ring",
+            ring.capacity()
+        );
+        assert_eq!(ring.len(), 0);
     }
 
     /// Multi-producer stress: every pushed value is popped exactly once,

@@ -7,7 +7,8 @@
 //! ```text
 //! producers ──IngestHandle::ingest──▶ ring[route(id)]          (lock-free)
 //!                                        │
-//! tick():  drain ≤ capacity frames ──▶ engine.ingest ──▶ process_pending
+//! tick():  pop ≤ capacity frames ──▶ batch ──▶ engine.ingest_batch ──▶ process_pending
+//!          (per lane, reused buffer)       (resolve every slot, then absorb)
 //!                                        │
 //!          for_each_breakdown sweep ──▶ id directory ──▶ ServeSnapshot ──▶ publish
 //!                                        │
@@ -20,6 +21,13 @@
 //! engines' own [`pinnsoc_fleet::AbsorbOutcome`] accounting — duplicates,
 //! non-finite fields, time-reversed stamps, unknown cells — lands in the
 //! per-tick [`TickReport::telemetry`] delta.
+//!
+//! Each lane drains in one batch: the tier pops the lane's frames into a
+//! reused buffer, and the engine resolves every frame's `(shard, slot)`
+//! before it absorbs any, in arrival order — bit-identical to per-frame
+//! ingest, with the index lookups no longer serialized in front of each
+//! absorb. Plain and durable lanes share this one drain path; a durable
+//! lane logs the batch's reports to its WAL first.
 //!
 //! The sweep lands in id order without a per-tick sort: the id directory
 //! (see the `directory` module) remembers each swept cell's rank while the
@@ -34,7 +42,7 @@ use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotSlot};
 use pinnsoc::SocModel;
 use pinnsoc_durable::{record_recovery, recover, DurableConfig, DurableFleet, RecoveryReport};
 use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry, TelemetryStats};
-use pinnsoc_obs::{FlightRecorder, MetricId, ObsHub, TraceSink};
+use pinnsoc_obs::{FlightRecorder, MetricId, ObsHub, SpanId, TraceSink};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -274,6 +282,31 @@ impl Backend {
             Backend::Down => None,
         }
     }
+
+    /// Folds one drained batch into the lane's engine (through the WAL on
+    /// a durable lane). Never called on a down lane.
+    fn ingest_batch(&mut self, frames: &[(CellId, Telemetry)]) {
+        match self {
+            Backend::Plain(engine) => engine.ingest_batch(frames),
+            Backend::Durable(fleet) => fleet.ingest_batch(frames),
+            Backend::Down => unreachable!("down lanes are not drained"),
+        };
+    }
+
+    /// The lane's batch pass (and WAL commit on a durable lane).
+    fn process_pending(&mut self, trace_parent: SpanId) -> io::Result<(usize, usize)> {
+        match self {
+            Backend::Plain(engine) => {
+                engine.set_trace_parent(trace_parent);
+                Ok(engine.process_pending())
+            }
+            Backend::Durable(fleet) => {
+                fleet.engine_mut().set_trace_parent(trace_parent);
+                fleet.process_pending()
+            }
+            Backend::Down => unreachable!("down lanes are not drained"),
+        }
+    }
 }
 
 /// A multi-engine serving deployment: construction, control plane, and
@@ -295,6 +328,9 @@ pub struct ServeTier {
     health: Option<Arc<HealthBoard>>,
     /// Scratch for enqueue timestamps drained this tick.
     drained_at: Vec<Instant>,
+    /// Reused drain buffer: one lane's popped frames, handed to its
+    /// engine as one batch.
+    batch: Vec<(CellId, Telemetry)>,
 }
 
 impl ServeTier {
@@ -345,6 +381,7 @@ impl ServeTier {
             slo: None,
             health: None,
             drained_at: Vec::new(),
+            batch: Vec::new(),
         })
     }
 
@@ -362,11 +399,12 @@ impl ServeTier {
     }
 
     /// Attaches a flight recorder: each [tick](Self::tick) records a root
-    /// `tick` span (trace process 0) with one `lane` span per live engine
-    /// (process `i + 1`), the engines' own `engine_tick` → `pass` → stage
-    /// trees nested inside their lane, and a `publish` span for the
-    /// snapshot sweep. A lane recovered by [`Self::recover_engine`]
-    /// re-attaches automatically.
+    /// `tick` span (trace process 0) with one `lane` span per engine
+    /// (process `i + 1`). A live lane's span holds a `drain` span (ring
+    /// pops), an `ingest` span (the engine's batched absorb, WAL appends
+    /// included) and the engine's own `engine_tick` → `pass` → stage tree.
+    /// A `publish` span covers the snapshot sweep. A lane recovered by
+    /// [`Self::recover_engine`] re-attaches automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
             let pid = idx as u32 + 1;
@@ -558,7 +596,6 @@ impl ServeTier {
         };
         let mut drained_at = std::mem::take(&mut self.drained_at);
         drained_at.clear();
-        let mut drained = 0usize;
         let mut integrated = 0usize;
         let mut estimated = 0usize;
         let mut skipped_lanes = 0usize;
@@ -572,32 +609,40 @@ impl ServeTier {
                 Some(tracer) if tracing => tracer.sink.open(),
                 _ => 0,
             };
-            match &mut lane.backend {
-                Backend::Down => skipped_lanes += 1,
-                Backend::Plain(engine) => {
-                    engine.set_trace_parent(lane_span);
-                    for _ in 0..bound {
-                        let Some(frame) = lane.ring.pop() else { break };
-                        engine.ingest(frame.id, frame.telemetry);
-                        drained_at.push(frame.enqueued);
-                        drained += 1;
-                    }
-                    let (i, e) = engine.process_pending();
-                    integrated += i;
-                    estimated += e;
+            if matches!(lane.backend, Backend::Down) {
+                skipped_lanes += 1;
+            } else {
+                // Phase one pops the whole lane into the reused batch; the
+                // engine then resolves every frame's slot before absorbing
+                // any (see `FleetEngine::ingest_batch`).
+                self.batch.clear();
+                for _ in 0..bound {
+                    let Some(frame) = lane.ring.pop() else { break };
+                    self.batch.push((frame.id, frame.telemetry));
+                    drained_at.push(frame.enqueued);
                 }
-                Backend::Durable(fleet) => {
-                    fleet.engine_mut().set_trace_parent(lane_span);
-                    for _ in 0..bound {
-                        let Some(frame) = lane.ring.pop() else { break };
-                        fleet.ingest(frame.id, frame.telemetry);
-                        drained_at.push(frame.enqueued);
-                        drained += 1;
-                    }
-                    let (i, e) = fleet.process_pending()?;
-                    integrated += i;
-                    estimated += e;
+                let popped = tracing.then(Instant::now);
+                lane.backend.ingest_batch(&self.batch);
+                if let (Some(tracer), Some(start), Some(popped)) =
+                    (self.tracer.as_mut(), lane_start, popped)
+                {
+                    let pid = idx as u32 + 1;
+                    let _ = tracer
+                        .sink
+                        .record("drain", "serve", pid, 0, lane_span, start, popped);
+                    let _ = tracer.sink.record(
+                        "ingest",
+                        "serve",
+                        pid,
+                        0,
+                        lane_span,
+                        popped,
+                        Instant::now(),
+                    );
                 }
+                let (i, e) = lane.backend.process_pending(lane_span)?;
+                integrated += i;
+                estimated += e;
             }
             if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), lane_start) {
                 tracer.sink.complete(
@@ -648,6 +693,7 @@ impl ServeTier {
                 .sink
                 .record("publish", "serve", 0, 0, tick_span, start, published);
         }
+        let drained = drained_at.len();
         let latencies_s = drained_at
             .iter()
             .map(|enqueued| published.duration_since(*enqueued).as_secs_f64())

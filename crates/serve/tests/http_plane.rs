@@ -218,6 +218,18 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
             chain, expected,
             "engine {engine}: stage span must chain to the tick root"
         );
+        // Ring pops and the batched absorb are split out under the lane.
+        for split in ["drain", "ingest"] {
+            let (_, parent, _) = by_id
+                .values()
+                .find(|(name, _, p)| *p == pid && *name == split)
+                .unwrap_or_else(|| panic!("engine {engine}: no {split} span"));
+            assert_eq!(
+                by_id.get(parent).map(|span| span.0),
+                Some("lane"),
+                "engine {engine}: {split} must be a child of its lane span"
+            );
+        }
     }
 
     // -- /healthz: ok while everything serves. --
