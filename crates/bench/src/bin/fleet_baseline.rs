@@ -7,8 +7,8 @@
 //! sanity-checks the engine without touching `BENCH_fleet.json`.
 //!
 //! Alongside the headline throughput numbers, each fleet size records a
-//! per-stage breakdown of one engine tick (ingest / coalesce / gather /
-//! GEMM / scatter, in milliseconds per tick) and the file is stamped with
+//! per-stage breakdown of one engine tick (ingest / gather / GEMM /
+//! scatter, in milliseconds per tick) and the file is stamped with
 //! host metadata (thread and worker counts, git revision, micro-batch
 //! size) so the perf trajectory across PRs is comparable.
 
@@ -36,9 +36,6 @@ struct StageBreakdownMs {
     /// and dirty-slot dedup all happen at ingest; timed by this harness
     /// around the ingest loop.
     ingest: f64,
-    /// Legacy drain-the-queue stage — reads zero now that integration
-    /// happens at ingest; kept so the JSON schema is stable across PRs.
-    coalesce: f64,
     /// Feature assembly from the SoA cell state (engine stage timer).
     gather: f64,
     /// Batched fused forward passes (engine stage timer).
@@ -215,7 +212,6 @@ fn engine_pass(
     let mean_tick_s: f64 = tick_samples.iter().sum::<f64>();
     let breakdown = StageBreakdownMs {
         ingest: per_tick_ms(ingest_total_s),
-        coalesce: per_tick_ms(stages.coalesce.as_secs_f64()),
         gather: per_tick_ms(stages.gather.as_secs_f64()),
         gemm: per_tick_ms(stages.gemm.as_secs_f64()),
         scatter: per_tick_ms(stages.scatter.as_secs_f64()),
@@ -317,8 +313,8 @@ fn main() {
                 ("int8", &r.stage_breakdown_int8_ms_per_tick),
             ] {
                 println!(
-                    "             {label} tick breakdown (ms): ingest {:.3} | coalesce {:.3} | gather {:.3} | gemm {:.3} | scatter {:.3} | other {:.3}",
-                    b.ingest, b.coalesce, b.gather, b.gemm, b.scatter, b.other,
+                    "             {label} tick breakdown (ms): ingest {:.3} | gather {:.3} | gemm {:.3} | scatter {:.3} | other {:.3}",
+                    b.ingest, b.gather, b.gemm, b.scatter, b.other,
                 );
             }
             r

@@ -395,7 +395,7 @@ impl SocModel {
         let estimates = self
             .branch1
             .net()
-            .forward_batch_fused(scratch.features.as_ref().expect("built"), &mut scratch.net);
+            .forward_batch(scratch.features.as_ref().expect("built"), &mut scratch.net);
         out.extend(estimates.as_slice().iter().map(|&soc| soc as f64));
     }
 
@@ -420,10 +420,7 @@ impl SocModel {
         out: &mut Vec<f64>,
     ) {
         assert_eq!(features.cols(), 3, "Branch 1 features are (V, I, T)");
-        let estimates = self
-            .branch1
-            .net()
-            .forward_batch_fused(features, &mut scratch.net);
+        let estimates = self.branch1.net().forward_batch(features, &mut scratch.net);
         out.extend(estimates.as_slice().iter().map(|&soc| soc as f64));
     }
 
@@ -451,10 +448,7 @@ impl SocModel {
         assert_eq!(features.cols(), 3, "Branch 1 features are (V, I, T)");
         let rows = features.rows();
         {
-            let estimates = self
-                .branch1
-                .net()
-                .forward_batch_fused(features, &mut scratch.net);
+            let estimates = self.branch1.net().forward_batch(features, &mut scratch.net);
             scratch.soc_now.clear();
             scratch
                 .soc_now
@@ -470,10 +464,9 @@ impl SocModel {
                     row[0] = soc as f32;
                     row[1..].copy_from_slice(&tail);
                 }
-                let preds = b2.net().forward_batch_fused(
-                    scratch.features.as_ref().expect("built"),
-                    &mut scratch.net,
-                );
+                let preds = b2
+                    .net()
+                    .forward_batch(scratch.features.as_ref().expect("built"), &mut scratch.net);
                 out.extend(preds.as_slice().iter().map(|&soc| soc as f64));
             }
             stage @ SecondStage::Coulomb { .. } => {
@@ -523,7 +516,7 @@ impl SocModel {
             let estimates = self
                 .branch1
                 .net()
-                .forward_batch_fused(scratch.features.as_ref().expect("built"), &mut scratch.net);
+                .forward_batch(scratch.features.as_ref().expect("built"), &mut scratch.net);
             scratch.soc_now.clear();
             scratch
                 .soc_now
@@ -540,10 +533,9 @@ impl SocModel {
                     let f = b2.features(soc, q.avg_current_a, q.avg_temperature_c, q.horizon_s);
                     features.row_mut(r).copy_from_slice(&f);
                 }
-                let preds = b2.net().forward_batch_fused(
-                    scratch.features.as_ref().expect("built"),
-                    &mut scratch.net,
-                );
+                let preds = b2
+                    .net()
+                    .forward_batch(scratch.features.as_ref().expect("built"), &mut scratch.net);
                 out.extend(preds.as_slice().iter().map(|&soc| soc as f64));
             }
             stage @ SecondStage::Coulomb { .. } => {

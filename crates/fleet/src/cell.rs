@@ -147,7 +147,7 @@ const NO_ESTIMATE: f64 = f64::NEG_INFINITY;
 /// Hot per-tick fields (`time_s`, `voltage_v`, `current_a`,
 /// `temperature_c`, `net_time_s`, `net_soc`) are plain `f64` arrays the
 /// batch assembly and scatter stages stream over; integrators and counters
-/// live in their own arrays and are only touched by the coalesce stage.
+/// live in their own arrays and are only touched at ingest.
 #[derive(Debug)]
 pub struct CellStore {
     pub(crate) ids: Vec<CellId>,

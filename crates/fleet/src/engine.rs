@@ -166,11 +166,6 @@ impl TelemetryStats {
 /// bench harness times it as a block instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Legacy stage: draining queued telemetry into the per-cell
-    /// integrators. Integration now happens at ingest (outside the batch
-    /// pass), so this reads zero; the field survives so recorded
-    /// `BENCH_fleet.json` breakdowns keep a stable schema across PRs.
-    pub coalesce: Duration,
     /// Assembling normalized feature rows from the structure-of-arrays
     /// cell state into the batch input matrix.
     pub gather: Duration,
@@ -183,11 +178,10 @@ pub struct StageTimes {
 impl StageTimes {
     /// Sum of all stages.
     pub fn total(&self) -> Duration {
-        self.coalesce + self.gather + self.gemm + self.scatter
+        self.gather + self.gemm + self.scatter
     }
 
     fn accumulate(&mut self, other: &StageTimes) {
-        self.coalesce += other.coalesce;
         self.gather += other.gather;
         self.gemm += other.gemm;
         self.scatter += other.scatter;
@@ -287,7 +281,7 @@ impl Shard {
         // `stage` holds exactly this pass's times; the engine accumulates
         // per-tick deltas when the shard checks back in. Integration
         // happened at ingest (see `absorb_one`), so the pass starts straight
-        // at the gather stage and `coalesce` stays zero.
+        // at the gather stage.
         self.stage = StageTimes::default();
         let absorbed = std::mem::take(&mut self.tick_absorbed);
         let mut mark = Instant::now();
@@ -1097,7 +1091,7 @@ impl FleetEngine {
 
     /// Cumulative per-stage batch-pass times, summed over all shards since
     /// construction or the last [`FleetEngine::reset_stage_times`]. The
-    /// bench harness uses this for the ingest/coalesce/GEMM/scatter
+    /// bench harness uses this for the ingest/gather/GEMM/scatter
     /// breakdown in `BENCH_fleet.json`.
     pub fn stage_times(&self) -> StageTimes {
         self.stage_times

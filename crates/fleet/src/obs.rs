@@ -20,7 +20,6 @@ use std::time::Instant;
 pub(crate) struct FleetMetricIds {
     /// `pinnsoc_fleet_stage_seconds{stage=...}`: the p50/p99 successor of
     /// the cumulative [`StageTimes`] sums (the accessor remains).
-    pub stage_coalesce: MetricId,
     pub stage_gather: MetricId,
     pub stage_gemm: MetricId,
     pub stage_scatter: MetricId,
@@ -43,8 +42,10 @@ pub(crate) struct FleetMetricIds {
     pub cells: MetricId,
     pub reporting: MetricId,
     pub model_version: MetricId,
-    /// Detected GEMM kernel path ([`pinnsoc_nn::kernel::KernelPath`] as a
-    /// numeric code: 1 = scalar, 2 = SSE2, 3 = AVX2), set at attach.
+    /// Active kernel path ([`pinnsoc_nn::kernel::KernelPath`] as a numeric
+    /// code: 1 = scalar; 2 = sse2, scalar f32 with the SSE2 int8 chain;
+    /// 3 = avx2, AVX2 f32 with the best AVX2/VNNI int8 chain), set at
+    /// attach.
     pub kernel_path: MetricId,
     /// 1 when a gate-certified quantized shadow is installed, else 0.
     pub quantized_active: MetricId,
@@ -74,7 +75,6 @@ impl FleetMetricIds {
             )
         };
         Self {
-            stage_coalesce: stage("coalesce"),
             stage_gather: stage("gather"),
             stage_gemm: stage("gemm"),
             stage_scatter: stage("scatter"),
@@ -118,7 +118,7 @@ impl FleetMetricIds {
             ),
             kernel_path: reg.gauge(
                 "pinnsoc_fleet_kernel_path",
-                "Active GEMM kernel path (1=scalar, 2=sse2, 3=avx2).",
+                "Active kernel path (1=scalar; 2=sse2: scalar f32, SSE2 int8; 3=avx2: AVX2 f32, AVX2/VNNI int8).",
             ),
             quantized_active: reg.gauge(
                 "pinnsoc_fleet_quantized_active",
@@ -164,8 +164,6 @@ impl ShardObs {
         if quantized {
             self.local.add(ids.quantized_estimated, estimated as u64);
         }
-        self.local
-            .observe(ids.stage_coalesce, stage.coalesce.as_secs_f64());
         self.local
             .observe(ids.stage_gather, stage.gather.as_secs_f64());
         self.local.observe(ids.stage_gemm, stage.gemm.as_secs_f64());

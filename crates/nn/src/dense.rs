@@ -37,7 +37,7 @@ pub struct Dense {
     grad_bias: Vec<f32>,
     #[serde(skip)]
     cache: Option<Cache>,
-    /// Lazily packed weight panels for [`Dense::forward_batch_fused`].
+    /// Lazily packed weight panels for [`Dense::forward_batch`].
     /// Invalidated (taken) whenever the weights can change — the serving
     /// path packs once per trained model and reuses it for every batch.
     #[serde(skip)]
@@ -252,42 +252,22 @@ impl Dense {
         self.activation.forward(&pre)
     }
 
-    /// Batched inference into a caller-owned buffer: one register-blocked
-    /// GEMM over the whole `batch × fan_in` input, then a single
-    /// bias-and-activation sweep. No allocation once `out` has capacity.
+    /// Batched inference into a caller-owned buffer through the fused GEMM
+    /// epilogue: one kernel computes `σ((x·W) + b)` directly from packed
+    /// weight panels ([`PackedWeights`], built lazily on first use and
+    /// reused until the weights change), applying bias and activation
+    /// while the accumulators are still in registers. No allocation once
+    /// `out` has capacity.
     ///
-    /// This is a separate implementation from [`Dense::infer`]'s allocating
-    /// pipeline, but per-row results are bit-exact across the two paths and
-    /// across batch heights — see the [bit-exactness
-    /// contract](crate#bit-exactness-contract).
+    /// Per-row results are bit-exact with [`Dense::infer`]'s allocating
+    /// pipeline and across batch heights, per the [bit-exactness
+    /// contract](crate#bit-exactness-contract); the parity proptests in
+    /// this crate enforce it.
     ///
     /// # Panics
     ///
     /// Panics if `input.cols() != self.fan_in()`.
     pub fn forward_batch(&self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weight, out);
-        let act = self.activation;
-        for r in 0..out.rows() {
-            for (x, &b) in out.row_mut(r).iter_mut().zip(&self.bias) {
-                *x = act.apply(*x + b);
-            }
-        }
-    }
-
-    /// Batched inference through the fused GEMM epilogue: one kernel
-    /// computes `σ((x·W) + b)` directly from packed weight panels
-    /// ([`PackedWeights`], built lazily on first use and reused until the
-    /// weights change), applying bias and activation while the accumulators
-    /// are still in registers.
-    ///
-    /// Bit-exact with [`Dense::forward_batch`] and [`Dense::infer`] per the
-    /// [bit-exactness contract](crate#bit-exactness-contract); the parity
-    /// proptests in this crate enforce it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != self.fan_in()`.
-    pub fn forward_batch_fused(&self, input: &Matrix, out: &mut Matrix) {
         let packed = self
             .packed
             .get_or_init(|| PackedWeights::pack(&self.weight));
@@ -477,10 +457,7 @@ mod tests {
         let mut out = Matrix::zeros(1, 1);
         l.forward_batch(&x, &mut out);
         assert_eq!(out, l.infer(&x));
-    }
-
-    #[test]
-    fn forward_batch_fused_matches_forward_batch_bitwise() {
+        // Bitwise, on shapes covering every packed panel width.
         let mut rng = StdRng::seed_from_u64(11);
         for (fan_in, fan_out, act) in [
             (3usize, 16usize, Activation::Relu),
@@ -495,13 +472,11 @@ mod tests {
                 fan_in,
                 (0..6 * fan_in).map(|i| (i as f32 * 0.23).sin()).collect(),
             );
-            let mut plain = Matrix::zeros(1, 1);
-            let mut fused = Matrix::zeros(1, 1);
-            l.forward_batch(&x, &mut plain);
-            l.forward_batch_fused(&x, &mut fused);
-            assert_eq!(plain.shape(), fused.shape());
-            for (p, f) in plain.as_slice().iter().zip(fused.as_slice()) {
-                assert_eq!(p.to_bits(), f.to_bits(), "{fan_in}->{fan_out} {act:?}");
+            l.forward_batch(&x, &mut out);
+            let reference = l.infer(&x);
+            assert_eq!(out.shape(), reference.shape());
+            for (f, r) in out.as_slice().iter().zip(reference.as_slice()) {
+                assert_eq!(f.to_bits(), r.to_bits(), "{fan_in}->{fan_out} {act:?}");
             }
         }
     }
@@ -511,10 +486,10 @@ mod tests {
         let mut l = tiny_layer();
         let x = Matrix::from_rows(&[&[1.0, 1.0]]);
         let mut out = Matrix::zeros(1, 1);
-        l.forward_batch_fused(&x, &mut out);
+        l.forward_batch(&x, &mut out);
         let before = out.clone();
         l.scale_weights(2.0);
-        l.forward_batch_fused(&x, &mut out);
+        l.forward_batch(&x, &mut out);
         assert_ne!(out, before, "stale packed weights served after scale");
         assert_eq!(out, l.infer(&x));
         // Optimizer-style mutation through visit_params must also repack.
@@ -523,7 +498,7 @@ mod tests {
                 *w += 0.25;
             }
         });
-        l.forward_batch_fused(&x, &mut out);
+        l.forward_batch(&x, &mut out);
         assert_eq!(out, l.infer(&x));
     }
 

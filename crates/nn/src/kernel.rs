@@ -1,23 +1,39 @@
-//! Runtime-dispatched SIMD kernel paths for the GEMM layer.
+//! Runtime-dispatched SIMD kernel paths for the GEMM layer: one SIMD
+//! implementation per job, with the scalar kernels as the reference for
+//! everything else.
 //!
 //! The scalar micro-tile kernels in [`crate::matrix`] are the universal
 //! fallback and the bit-exactness reference. On `x86_64` this module adds
-//! hand-written SSE2 and AVX2 kernels that vectorize across the *output
+//! hand-written AVX2 f32 kernels that vectorize across the *output
 //! column* dimension: each output element still accumulates its products in
 //! ascending-`k` order with one multiply and one add per step (no FMA, no
 //! tree reductions), so every path produces bit-identical results — the
-//! SIMD lanes simply compute eight (or four) independent ascending-`k`
-//! accumulators side by side. See the crate-level [bit-exactness
+//! SIMD lanes simply compute eight independent ascending-`k` accumulators
+//! side by side. There is no SSE2 f32 kernel: the scalar reference already
+//! auto-vectorizes to SSE2, and hand-written SSE2 measured 0.99–1.43× of
+//! it per model shape. See the crate-level [bit-exactness
 //! contract](crate#bit-exactness-contract).
 //!
-//! The int8 quantized kernels (serving [`crate::quant`]) ride the same
-//! dispatch: SSE2/AVX2 `maddubs → madd` pair products, upgraded in place to
-//! AVX-VNNI `vpdpbusd` and further to AVX-512-VNNI (two 8-column panels per
-//! 512-bit accumulate) when the host supports them. Unlike the f32 paths,
-//! these sub-variants need no lane-order discipline to agree: every flavor
-//! computes the *exact* i32 sum of the same products, and integer addition
-//! is associative — so all int8 variants are bit-identical to each other
-//! (and to the scalar int8 reference) by construction, just not to f32.
+//! The int8 quantized kernels (serving [`crate::quant`]) run only in the
+//! fully quantized chain of an all-ReLU/Identity network: SSE2/AVX2
+//! `madd` pair products, upgraded in place to AVX-VNNI `vpdpwssd` and
+//! further to AVX-512-VNNI (two 8-column panels per 512-bit accumulate)
+//! when the host supports them. Unlike the f32 paths, these sub-variants
+//! need no lane-order discipline to agree: every flavor computes the
+//! *exact* i32 sum of the same products, and integer addition is
+//! associative — so all int8 variants are bit-identical to each other (and
+//! to the scalar int8 reference) by construction, just not to f32.
+//!
+//! What each path runs:
+//!
+//! | path     | f32 GEMMs | int8 chain                            |
+//! |----------|-----------|---------------------------------------|
+//! | `scalar` | scalar    | scalar                                |
+//! | `sse2`   | scalar    | SSE2 `madd`                           |
+//! | `avx2`   | AVX2      | AVX-512-VNNI / AVX-VNNI / AVX2 `madd` |
+//!
+//! Quantized networks with any other activation (Tanh, Sigmoid,
+//! LeakyReLU) run the scalar int8 reference on every path.
 //!
 //! # Path selection
 //!
@@ -49,7 +65,8 @@ use std::sync::OnceLock;
 pub enum KernelPath {
     /// Portable scalar micro-tile kernels (the reference implementation).
     Scalar = 1,
-    /// 128-bit SSE2 kernels (baseline on every `x86_64`).
+    /// Scalar f32 kernels plus the 128-bit SSE2 int8 chain (SSE2 is the
+    /// baseline on every `x86_64`).
     Sse2 = 2,
     /// 256-bit AVX2 kernels (runtime-detected).
     Avx2 = 3,
@@ -180,104 +197,30 @@ pub fn int8_flavor() -> &'static str {
 /// columns; vectorization never reorders any element's sum).
 ///
 /// All pointer arithmetic is bounds-justified at the call sites in
-/// `matrix.rs`, which pass slices whose lengths they have already
-/// asserted; the `// SAFETY:` comments on each block record the exact
-/// obligations.
+/// `matrix.rs` and `quant.rs`, which pass slices whose lengths they have
+/// already asserted; the `// SAFETY:` comments on each block record the
+/// exact obligations.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
-    /// AVX2 column-strip kernel: `IB` rows × 16 columns of
-    /// `out += lhs · b`, accumulated in eight-lane registers over the full
+    /// AVX2 strip kernel, the one f32 GEMM micro-kernel: `IB` rows ×
+    /// `strips` consecutive eight-column strips of `out = lhs · b`, each
+    /// strip accumulated in one eight-lane register per row over the full
     /// depth and stored once. `b` is any k-major operand (row-major GEMM
-    /// rhs or a packed panel) with row stride `b_stride`; the strip starts
-    /// at `b` itself.
+    /// rhs or a packed panel) with row stride `b_stride`; the strips start
+    /// at `b` itself. The strip loop lives inside the `#[target_feature]`
+    /// boundary, so a row block pays the call glue once, not per strip.
     ///
     /// # Safety
     ///
     /// - `lhs` must hold `IB * depth` readable floats (row-major, stride
     ///   `depth`).
-    /// - `b` must hold `(depth - 1) * b_stride + 16` readable floats.
-    /// - `out` must hold `(IB - 1) * out_stride + 16` writable floats.
-    #[target_feature(enable = "avx2")]
-    unsafe fn strip16<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: all loads/stores below stay inside the ranges the
-        // caller guarantees: lhs reads `r * depth + k` with r < IB and
-        // k < depth; b reads `k * b_stride + {0..16}`; out writes
-        // `r * out_stride + {0..16}`.
-        unsafe {
-            let mut acc0 = [_mm256_setzero_ps(); IB];
-            let mut acc1 = [_mm256_setzero_ps(); IB];
-            for k in 0..depth {
-                let w0 = _mm256_loadu_ps(b.add(k * b_stride));
-                let w1 = _mm256_loadu_ps(b.add(k * b_stride + 8));
-                for r in 0..IB {
-                    let a = _mm256_broadcast_ss(&*lhs.add(r * depth + k));
-                    // One multiply, one add per step — no FMA, so each
-                    // lane's rounding matches the scalar kernel exactly.
-                    acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(a, w0));
-                    acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(a, w1));
-                }
-            }
-            for r in 0..IB {
-                _mm256_storeu_ps(out.add(r * out_stride), acc0[r]);
-                _mm256_storeu_ps(out.add(r * out_stride + 8), acc1[r]);
-            }
-        }
-    }
-
-    /// AVX2 eight-column variant of [`strip16`].
-    ///
-    /// # Safety
-    ///
-    /// As [`strip16`] with 8 columns instead of 16: `b` must hold
-    /// `(depth - 1) * b_stride + 8` floats, `out` must hold
-    /// `(IB - 1) * out_stride + 8`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn strip8<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: same access pattern as `strip16` narrowed to 8 columns,
-        // inside the caller-guaranteed ranges.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); IB];
-            for k in 0..depth {
-                let w = _mm256_loadu_ps(b.add(k * b_stride));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a = _mm256_broadcast_ss(&*lhs.add(r * depth + k));
-                    *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(a, w));
-                }
-            }
-            for (r, &acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(out.add(r * out_stride), acc_r);
-            }
-        }
-    }
-
-    /// AVX2 multi-strip kernel: `strips` consecutive eight-column strips
-    /// of `out = lhs · b` in one call — the strip loop lives inside the
-    /// `#[target_feature]` boundary, so tall row blocks (which cannot use
-    /// [`strip16`] without spilling accumulators) pay the call glue once
-    /// per block instead of once per strip.
-    ///
-    /// # Safety
-    ///
-    /// As [`strip8`] over `strips * 8` columns: `b` must hold
-    /// `(depth - 1) * b_stride + strips * 8` floats, `out` must hold
-    /// `(IB - 1) * out_stride + strips * 8`.
+    /// - `b` must hold `(depth - 1) * b_stride + strips * 8` readable
+    ///   floats.
+    /// - `out` must hold `(IB - 1) * out_stride + strips * 8` writable
+    ///   floats.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn strips8_avx2<const IB: usize>(
@@ -289,9 +232,10 @@ pub(crate) mod x86 {
         out: *mut f32,
         out_stride: usize,
     ) {
-        // SAFETY: strip `s` touches columns `s * 8 .. s * 8 + 8`, inside
-        // the caller-guaranteed `strips * 8`; per-strip accesses are
-        // exactly those of `strip8`.
+        // SAFETY: strip `s` reads lhs `r * depth + k` (r < IB, k < depth),
+        // b `k * b_stride + s * 8 + {0..8}` and writes out
+        // `r * out_stride + s * 8 + {0..8}` — inside the caller-guaranteed
+        // ranges since `s < strips`.
         unsafe {
             for s in 0..strips {
                 let bs = b.add(s * 8);
@@ -301,6 +245,8 @@ pub(crate) mod x86 {
                     let w = _mm256_loadu_ps(bs.add(k * b_stride));
                     for (r, acc_r) in acc.iter_mut().enumerate() {
                         let a = _mm256_broadcast_ss(&*lhs.add(r * depth + k));
+                        // One multiply, one add per step — no FMA, so each
+                        // lane's rounding matches the scalar kernel exactly.
                         *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(a, w));
                     }
                 }
@@ -404,88 +350,15 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 column-strip kernel: `IB` rows × 8 columns in two four-lane
-    /// registers per row.
-    ///
-    /// # Safety
-    ///
-    /// As [`strip16`] with 8 columns: `b` must hold
-    /// `(depth - 1) * b_stride + 8` floats, `out` must hold
-    /// `(IB - 1) * out_stride + 8`.
-    unsafe fn sse2_strip8<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: same access pattern as `strip16` narrowed to 8 columns,
-        // inside the caller-guaranteed ranges. SSE2 is part of the x86_64
-        // baseline, so no runtime feature check is needed.
-        unsafe {
-            let mut acc0 = [_mm_setzero_ps(); IB];
-            let mut acc1 = [_mm_setzero_ps(); IB];
-            for k in 0..depth {
-                let w0 = _mm_loadu_ps(b.add(k * b_stride));
-                let w1 = _mm_loadu_ps(b.add(k * b_stride + 4));
-                for r in 0..IB {
-                    let a = _mm_set1_ps(*lhs.add(r * depth + k));
-                    acc0[r] = _mm_add_ps(acc0[r], _mm_mul_ps(a, w0));
-                    acc1[r] = _mm_add_ps(acc1[r], _mm_mul_ps(a, w1));
-                }
-            }
-            for r in 0..IB {
-                _mm_storeu_ps(out.add(r * out_stride), acc0[r]);
-                _mm_storeu_ps(out.add(r * out_stride + 4), acc1[r]);
-            }
-        }
-    }
-
-    /// SSE2 four-column variant of [`sse2_strip8`].
-    ///
-    /// # Safety
-    ///
-    /// As [`strip16`] with 4 columns: `b` must hold
-    /// `(depth - 1) * b_stride + 4` floats, `out` must hold
-    /// `(IB - 1) * out_stride + 4`.
-    unsafe fn sse2_strip4<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: same access pattern as `sse2_strip8` narrowed to 4
-        // columns, inside the caller-guaranteed ranges.
-        unsafe {
-            let mut acc = [_mm_setzero_ps(); IB];
-            for k in 0..depth {
-                let w = _mm_loadu_ps(b.add(k * b_stride));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a = _mm_set1_ps(*lhs.add(r * depth + k));
-                    *acc_r = _mm_add_ps(*acc_r, _mm_mul_ps(a, w));
-                }
-            }
-            for (r, &acc_r) in acc.iter().enumerate() {
-                _mm_storeu_ps(out.add(r * out_stride), acc_r);
-            }
-        }
-    }
-
     /// Safe wrapper: one `IB`-row block of `out = lhs · b` over `cols`
-    /// columns of a k-major operand, SIMD strips first, scalar tail after.
-    /// `spill` provides scratch the strip kernels can overshoot into when
-    /// `cols` is not a multiple of the strip width **and** the caller has
-    /// no padded columns (`b_padded == false` means tails run scalar
-    /// instead).
+    /// columns of a k-major operand: full eight-column strips first, then
+    /// the tail. A padded operand (`b_padded`: zero columns up to the next
+    /// multiple of 8) runs its tail as one more full strip into a stack
+    /// buffer; an unpadded tail runs the scalar ascending-`k` loop.
     ///
-    /// `avx2` selects the 256-bit kernels; the caller must have verified
-    /// AVX2 support (this wrapper debug-asserts it).
+    /// The caller must have verified AVX2 support (debug-asserted).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_block<const IB: usize>(
-        avx2: bool,
         lhs: &[f32],
         depth: usize,
         b: &[f32],
@@ -497,137 +370,53 @@ pub(crate) mod x86 {
     ) {
         debug_assert!(lhs.len() >= IB * depth);
         debug_assert!(out.len() >= (IB - 1) * out_stride + cols);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
-        let simd_cols = if b_padded {
-            cols
-        } else if avx2 {
-            cols - cols % 8
-        } else {
-            cols - cols % 4
-        };
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+        let strips = cols / 8;
         let padded_cols = if b_padded {
-            simd_cols.next_multiple_of(if avx2 { 8 } else { 4 })
+            cols.next_multiple_of(8)
         } else {
-            simd_cols
+            strips * 8
         };
         debug_assert!(b.len() >= (depth - 1) * b_stride + padded_cols.max(1));
-        let mut j = 0;
-        // Full-width strips that store straight into `out`. The 16-column
-        // strip needs two accumulator registers per row, so it only fits
-        // the register file for row blocks of at most 4 — taller blocks
-        // sweep 8 columns at a time instead (same port-limited throughput,
-        // half the per-block call overhead).
-        if avx2 {
-            while IB <= 4 && j + 16 <= simd_cols {
-                // SAFETY: j + 16 <= simd_cols <= cols keeps every read of
-                // `b` (k * b_stride + j..+16) and write of `out`
-                // (r * out_stride + j..+16) inside the slices, per the
-                // debug-asserted lengths above. AVX2 support is the
-                // caller's contract, debug-asserted above.
-                unsafe {
-                    strip16::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += 16;
-            }
-            let strips = (simd_cols - j) / 8;
-            if strips > 0 {
-                // SAFETY: as above over `strips * 8` columns starting at
-                // `j` — `j + strips * 8 <= simd_cols <= cols` keeps every
-                // access inside the debug-asserted slice lengths.
-                unsafe {
-                    strips8_avx2::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        strips,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += strips * 8;
-            }
-        } else {
-            while j + 8 <= simd_cols {
-                // SAFETY: as the AVX2 strips above, with SSE2 kernels
-                // (baseline on x86_64, no feature check needed).
-                unsafe {
-                    sse2_strip8::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += 8;
-            }
-            while j + 4 <= simd_cols {
-                // SAFETY: as above, narrowed to 4 columns.
-                unsafe {
-                    sse2_strip4::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += 4;
-            }
+        if strips > 0 {
+            // SAFETY: `strips * 8 <= cols` keeps every read of `b`
+            // (k * b_stride + ..strips*8) and write of `out`
+            // (r * out_stride + ..strips*8) inside the debug-asserted
+            // slice lengths. AVX2 support is the caller's contract.
+            unsafe {
+                strips8_avx2::<IB>(
+                    lhs.as_ptr(),
+                    depth,
+                    b.as_ptr(),
+                    b_stride,
+                    strips,
+                    out.as_mut_ptr(),
+                    out_stride,
+                )
+            };
         }
+        let j = strips * 8;
         // Padded tail: the operand guarantees a full strip of columns
         // (zero-padded), but `out` only has `cols` — compute the full
         // strip for the whole row block into a stack buffer and copy the
         // live lanes out per row.
         if b_padded && j < cols {
-            let width = padded_cols - j;
             const { assert!(IB <= 8, "tail buffer sized for row blocks of at most 8") };
             let mut buf = [0.0f32; 64];
-            // SAFETY: the padded operand holds `padded_cols` columns per
-            // k-row (caller contract, debug-asserted above); `buf` holds
-            // `IB` rows of 8 writable floats at stride 8 (IB ≤ 8 by the
-            // const assert) and `width` is 8 (AVX2) or 4/8 (SSE2).
+            // SAFETY: the padded operand holds `padded_cols = j + 8`
+            // columns per k-row (caller contract, debug-asserted above);
+            // `buf` holds `IB` rows of 8 writable floats at stride 8
+            // (IB ≤ 8 by the const assert).
             unsafe {
-                if avx2 {
-                    debug_assert_eq!(width, 8);
-                    strip8::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        buf.as_mut_ptr(),
-                        8,
-                    );
-                } else if width == 8 {
-                    sse2_strip8::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        buf.as_mut_ptr(),
-                        8,
-                    );
-                } else {
-                    debug_assert_eq!(width, 4);
-                    sse2_strip4::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        buf.as_mut_ptr(),
-                        8,
-                    );
-                }
+                strips8_avx2::<IB>(
+                    lhs.as_ptr(),
+                    depth,
+                    b.as_ptr().add(j),
+                    b_stride,
+                    1,
+                    buf.as_mut_ptr(),
+                    8,
+                );
             }
             for r in 0..IB {
                 out[r * out_stride + j..r * out_stride + cols]
@@ -644,124 +433,6 @@ pub(crate) mod x86 {
                     }
                     out[r * out_stride + jj] = acc;
                 }
-            }
-        }
-    }
-
-    /// AVX2 int8 micro-kernel: `IB` rows × 8 columns of an i32-accumulate
-    /// GEMM over k-pair-interleaved i16 weights (`wp[kk * 16 + j * 2 + d]`
-    /// = weight of depth `2 * kk + d`, column `j`). `_mm256_madd_epi16`
-    /// multiplies each activation pair against a column's weight pair and
-    /// adds the two i32 products — integer arithmetic, so any summation
-    /// order gives the identical accumulator.
-    ///
-    /// # Safety
-    ///
-    /// - `q` must hold `IB` rows of `2 * kpairs` readable i16 activations
-    ///   at stride `q_stride`.
-    /// - `wp` must hold `kpairs * 16` readable i16 values.
-    /// - `acc` must hold `(IB - 1) * acc_stride + 8` writable i32.
-    #[target_feature(enable = "avx2")]
-    unsafe fn int8_strip8<const IB: usize>(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        wp: *const i16,
-        acc: *mut i32,
-        acc_stride: usize,
-    ) {
-        // SAFETY: reads of `q` stay below `r * q_stride + 2 * kpairs`,
-        // reads of `wp` below `kpairs * 16`, writes of `acc` below
-        // `r * acc_stride + 8` — all caller-guaranteed. The unaligned
-        // 32-bit activation-pair load is performed via `read_unaligned`.
-        unsafe {
-            let mut sums = [_mm256_setzero_si256(); IB];
-            for kk in 0..kpairs {
-                let w = _mm256_loadu_si256(wp.add(kk * 16) as *const __m256i);
-                for (r, sum) in sums.iter_mut().enumerate() {
-                    let pair = (q.add(r * q_stride + 2 * kk) as *const i32).read_unaligned();
-                    let a = _mm256_set1_epi32(pair);
-                    *sum = _mm256_add_epi32(*sum, _mm256_madd_epi16(a, w));
-                }
-            }
-            for (r, &sum) in sums.iter().enumerate() {
-                _mm256_storeu_si256(acc.add(r * acc_stride) as *mut __m256i, sum);
-            }
-        }
-    }
-
-    /// SSE2 variant of [`int8_strip8`]: two four-lane halves per row.
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_strip8`].
-    unsafe fn sse2_int8_strip8<const IB: usize>(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        wp: *const i16,
-        acc: *mut i32,
-        acc_stride: usize,
-    ) {
-        // SAFETY: same access ranges as `int8_strip8`; `_mm_madd_epi16`
-        // is SSE2, part of the x86_64 baseline.
-        unsafe {
-            let mut lo = [_mm_setzero_si128(); IB];
-            let mut hi = [_mm_setzero_si128(); IB];
-            for kk in 0..kpairs {
-                let w0 = _mm_loadu_si128(wp.add(kk * 16) as *const __m128i);
-                let w1 = _mm_loadu_si128(wp.add(kk * 16 + 8) as *const __m128i);
-                for r in 0..IB {
-                    let pair = (q.add(r * q_stride + 2 * kk) as *const i32).read_unaligned();
-                    let a = _mm_set1_epi32(pair);
-                    lo[r] = _mm_add_epi32(lo[r], _mm_madd_epi16(a, w0));
-                    hi[r] = _mm_add_epi32(hi[r], _mm_madd_epi16(a, w1));
-                }
-            }
-            for r in 0..IB {
-                _mm_storeu_si128(acc.add(r * acc_stride) as *mut __m128i, lo[r]);
-                _mm_storeu_si128(acc.add(r * acc_stride + 4) as *mut __m128i, hi[r]);
-            }
-        }
-    }
-
-    /// Safe wrapper over the int8 strip kernels: one `IB`-row block of a
-    /// panel's i32 accumulators.
-    pub(crate) fn int8_block<const IB: usize>(
-        avx2: bool,
-        q: &[i16],
-        q_stride: usize,
-        kpairs: usize,
-        wp: &[i16],
-        acc: &mut [i32],
-        acc_stride: usize,
-    ) {
-        debug_assert!(q.len() >= (IB - 1) * q_stride + 2 * kpairs);
-        debug_assert!(wp.len() >= kpairs * 16);
-        debug_assert!(acc.len() >= (IB - 1) * acc_stride + 8);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: the slice lengths debug-asserted above are exactly the
-        // kernels' documented obligations; AVX2 support is the caller's
-        // contract (debug-asserted).
-        unsafe {
-            if avx2 {
-                int8_strip8::<IB>(
-                    q.as_ptr(),
-                    q_stride,
-                    kpairs,
-                    wp.as_ptr(),
-                    acc.as_mut_ptr(),
-                    acc_stride,
-                );
-            } else {
-                sse2_int8_strip8::<IB>(
-                    q.as_ptr(),
-                    q_stride,
-                    kpairs,
-                    wp.as_ptr(),
-                    acc.as_mut_ptr(),
-                    acc_stride,
-                );
             }
         }
     }
@@ -799,8 +470,11 @@ pub(crate) mod x86 {
             $quant_block:ident, $quant:ident
         ) => {
             /// One panel's i32 accumulators for an `IB`-row block — the
-            /// shared GEMM core of the fused int8 kernels (identical
-            /// accumulation to [`int8_strip8`]).
+            /// shared GEMM core of the fused int8 kernels. `madd` pairs
+            /// each broadcast activation pair with a column's k-pair of
+            /// weights (`wpp[kk * 16 + j * 2 + d]`) and adds the two i32
+            /// products — integer arithmetic, so any summation order
+            /// gives the identical accumulator.
             ///
             /// # Safety
             ///
@@ -835,18 +509,16 @@ pub(crate) mod x86 {
 
             /// Fused int8 GEMM + dequant epilogue for one `IB`-row block
             /// across *every* panel of a quantized layer: for panel `p`,
-            /// accumulates the i32 sums exactly like [`int8_strip8`],
-            /// then converts, scales (`dequant`), biases and optionally
-            /// ReLUs in registers and stores straight to the f32 output
-            /// — no i32 round-trip through memory. A ragged last panel
-            /// (fewer than eight live columns) spills its accumulators
-            /// to a stack buffer and runs the scalar epilogue formula
-            /// per live lane. Both epilogues perform the identical
-            /// operation sequence as the deferred
-            /// [`dequant_epilogue_avx2`] (exact i32→f32 conversion, one
-            /// multiply, one add, `max(v, 0)` /
-            /// [`crate::quant::relu_exact`]), so results are
-            /// bit-identical to the unfused path.
+            /// accumulates the i32 sums, then converts, scales
+            /// (`dequant`), biases and optionally ReLUs in registers and
+            /// stores straight to the f32 output — no i32 round-trip
+            /// through memory. A ragged last panel (fewer than eight live
+            /// columns) spills its accumulators to a stack buffer and
+            /// runs the scalar epilogue formula per live lane. Both
+            /// epilogues perform the operation sequence of the scalar
+            /// int8 reference (exact i32→f32 conversion, one multiply,
+            /// one add, `max(v, 0)` / [`crate::quant::relu_exact`]), so
+            /// results are bit-identical to it.
             ///
             /// # Safety
             ///
@@ -878,8 +550,8 @@ pub(crate) mod x86 {
                 // SAFETY: panel `p` reads
                 // `wp[p*kpairs*16 .. (p+1)*kpairs*16]`;
                 // `dequant`/`bias`/`out` column accesses stop at
-                // `j0 + live <= fan_out`; `q` accesses match
-                // `int8_strip8` — all caller-guaranteed.
+                // `j0 + live <= fan_out`; `q` reads stay below
+                // `r * q_stride + 2 * kpairs` — all caller-guaranteed.
                 unsafe {
                     let zero = _mm256_setzero_ps();
                     for p in 0..panel_count {
@@ -1014,8 +686,8 @@ pub(crate) mod x86 {
                 // SAFETY: panel `p` reads
                 // `wp[p*kpairs*16 .. (p+1)*kpairs*16]`;
                 // `dequant`/`bias`/`q_out` column accesses stop at
-                // `j0 + live <= fan_out`; `q` accesses match
-                // `int8_strip8` — all caller-guaranteed.
+                // `j0 + live <= fan_out`; `q` reads stay below
+                // `r * q_stride + 2 * kpairs` — all caller-guaranteed.
                 unsafe {
                     let zero = _mm256_setzero_ps();
                     let inv = _mm256_set1_ps(inv_next);
@@ -1184,7 +856,7 @@ pub(crate) mod x86 {
     /// step costs one weight assembly plus one `vpdpwssd zmm` per row —
     /// roughly half the uops of running the two panels through the 256-bit
     /// family. Accumulation is exact integer arithmetic, bit-identical to
-    /// [`int8_strip8`] per lane.
+    /// the 256-bit panel sums per lane.
     ///
     /// # Safety
     ///
@@ -1227,7 +899,7 @@ pub(crate) mod x86 {
     /// bit-identical, so the seam is invisible. Every f32 epilogue lane
     /// performs the exact operation sequence of the 256-bit families
     /// (exact i32→f32 convert, one multiply, one add, `max(v, 0)`), so
-    /// results are bit-identical to the unfused scalar path.
+    /// results are bit-identical to the scalar int8 reference.
     ///
     /// # Safety
     ///
@@ -1779,43 +1451,14 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 variant of [`axpy_row_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`axpy_row_avx2`].
-    unsafe fn axpy_row_sse2(a: f32, b: *const f32, out: *mut f32, cols: usize) {
-        // SAFETY: same bounds argument as `axpy_row_avx2` with four-lane
-        // steps.
-        unsafe {
-            let av = _mm_set1_ps(a);
-            let mut j = 0;
-            while j + 4 <= cols {
-                let o = _mm_loadu_ps(out.add(j));
-                let bv = _mm_loadu_ps(b.add(j));
-                _mm_storeu_ps(out.add(j), _mm_add_ps(o, _mm_mul_ps(av, bv)));
-                j += 4;
-            }
-            while j < cols {
-                *out.add(j) += a * *b.add(j);
-                j += 1;
-            }
-        }
-    }
-
     /// Safe wrapper: `out += a * b`, element-wise over equal-length rows.
-    pub(crate) fn axpy_row(avx2: bool, a: f32, b: &[f32], out: &mut [f32]) {
+    /// The caller must have verified AVX2 support (debug-asserted).
+    pub(crate) fn axpy_row(a: f32, b: &[f32], out: &mut [f32]) {
         debug_assert_eq!(b.len(), out.len());
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: both pointers carry exactly `out.len()` elements, the
-        // kernels' documented obligation; AVX2 support is debug-asserted.
-        unsafe {
-            if avx2 {
-                axpy_row_avx2(a, b.as_ptr(), out.as_mut_ptr(), out.len());
-            } else {
-                axpy_row_sse2(a, b.as_ptr(), out.as_mut_ptr(), out.len());
-            }
-        }
+        // kernel's documented obligation; AVX2 support is debug-asserted.
+        unsafe { axpy_row_avx2(a, b.as_ptr(), out.as_mut_ptr(), out.len()) }
     }
 
     /// SSE2 variant of [`int8_fused_quant_block_avx2`].
@@ -2153,155 +1796,6 @@ pub(crate) mod x86 {
         };
         for (qv, &xv) in q[done..].iter_mut().zip(&x[done..]) {
             *qv = crate::quant::quantize_activation(xv, inv_scale);
-        }
-    }
-
-    /// AVX2 dequantize + bias + optional ReLU epilogue over a whole row
-    /// block: `out[r][j] = relu?(acc[r][j] as f32 * dequant[j] + bias[j])`
-    /// for `rows` rows (the row loop lives inside the kernel so the call
-    /// overhead amortizes across the block). The i32 → f32 conversion is
-    /// exact for the accumulator range the depth limit guarantees
-    /// (`|acc| < 2²⁴`), multiply/add are plain IEEE ops, and `max(v, 0.0)`
-    /// matches the scalar tail's `if v > 0.0 { v } else { 0.0 }` for every
-    /// input including NaN and `-0.0` — so vector and scalar epilogues are
-    /// bit-identical. Returns the column count handled per row (the same
-    /// for every row); the wrapper finishes the scalar tails.
-    ///
-    /// # Safety
-    ///
-    /// `dequant` and `bias` must hold `n` readable elements, `acc`
-    /// `(rows - 1) * acc_stride + n` readable i32, `out`
-    /// `(rows - 1) * out_stride + n` writable floats; vector bodies only
-    /// touch `j..j+8` while `j + 8 <= n`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dequant_epilogue_avx2(
-        acc: *const i32,
-        acc_stride: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        out: *mut f32,
-        out_stride: usize,
-        rows: usize,
-        n: usize,
-        relu: bool,
-    ) -> usize {
-        // SAFETY: all accesses bounded by `j + 8 <= n` and `r < rows`,
-        // inside the caller-guaranteed ranges.
-        unsafe {
-            let zero = _mm256_setzero_ps();
-            let mut j = 0;
-            while j + 8 <= n {
-                let d = _mm256_loadu_ps(dequant.add(j));
-                let b = _mm256_loadu_ps(bias.add(j));
-                for r in 0..rows {
-                    let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-                        acc.add(r * acc_stride + j) as *const __m256i
-                    ));
-                    let v = _mm256_add_ps(_mm256_mul_ps(v, d), b);
-                    let v = if relu { _mm256_max_ps(v, zero) } else { v };
-                    _mm256_storeu_ps(out.add(r * out_stride + j), v);
-                }
-                j += 8;
-            }
-            j
-        }
-    }
-
-    /// SSE2 variant of [`dequant_epilogue_avx2`], four lanes per step.
-    ///
-    /// # Safety
-    ///
-    /// As [`dequant_epilogue_avx2`] with `j + 4 <= n`.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn dequant_epilogue_sse2(
-        acc: *const i32,
-        acc_stride: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        out: *mut f32,
-        out_stride: usize,
-        rows: usize,
-        n: usize,
-        relu: bool,
-    ) -> usize {
-        // SAFETY: all accesses bounded by `j + 4 <= n` and `r < rows`,
-        // inside the caller-guaranteed ranges.
-        unsafe {
-            let zero = _mm_setzero_ps();
-            let mut j = 0;
-            while j + 4 <= n {
-                let d = _mm_loadu_ps(dequant.add(j));
-                let b = _mm_loadu_ps(bias.add(j));
-                for r in 0..rows {
-                    let v = _mm_cvtepi32_ps(_mm_loadu_si128(
-                        acc.add(r * acc_stride + j) as *const __m128i
-                    ));
-                    let v = _mm_add_ps(_mm_mul_ps(v, d), b);
-                    let v = if relu { _mm_max_ps(v, zero) } else { v };
-                    _mm_storeu_ps(out.add(r * out_stride + j), v);
-                }
-                j += 4;
-            }
-            j
-        }
-    }
-
-    /// Safe wrapper: a row block's dequantize + bias (+ ReLU) epilogue on
-    /// the SIMD path, scalar tails with the identical operation sequence
-    /// (see [`dequant_epilogue_avx2`] for the bit-identity argument).
-    /// `n` columns per row, `rows` rows.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dequant_epilogue_block(
-        avx2: bool,
-        acc: &[i32],
-        acc_stride: usize,
-        dequant: &[f32],
-        bias: &[f32],
-        out: &mut [f32],
-        out_stride: usize,
-        rows: usize,
-        n: usize,
-        relu: bool,
-    ) {
-        debug_assert!(rows > 0 && dequant.len() >= n && bias.len() >= n);
-        debug_assert!(acc.len() >= (rows - 1) * acc_stride + n);
-        debug_assert!(out.len() >= (rows - 1) * out_stride + n);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: the debug-asserted lengths are the kernels' documented
-        // obligations; AVX2 support is debug-asserted.
-        let done = unsafe {
-            if avx2 {
-                dequant_epilogue_avx2(
-                    acc.as_ptr(),
-                    acc_stride,
-                    dequant.as_ptr(),
-                    bias.as_ptr(),
-                    out.as_mut_ptr(),
-                    out_stride,
-                    rows,
-                    n,
-                    relu,
-                )
-            } else {
-                dequant_epilogue_sse2(
-                    acc.as_ptr(),
-                    acc_stride,
-                    dequant.as_ptr(),
-                    bias.as_ptr(),
-                    out.as_mut_ptr(),
-                    out_stride,
-                    rows,
-                    n,
-                    relu,
-                )
-            }
-        };
-        for r in 0..rows {
-            for j in done..n {
-                let v = acc[r * acc_stride + j] as f32 * dequant[j] + bias[j];
-                out[r * out_stride + j] = if relu { crate::quant::relu_exact(v) } else { v };
-            }
         }
     }
 }

@@ -12,10 +12,11 @@
 //!
 //! ## Bit-exactness contract
 //!
-//! The workspace serves the same model through several pipelines — scalar
-//! [`Mlp::infer`], batched [`Mlp::forward_batch`], the fused packed-weight
-//! path [`Mlp::forward_batch_fused`], and the scratch-reusing training
-//! passes [`Mlp::forward_train`] / [`Mlp::backward_train`] — and the layers
+//! The workspace serves the same model through two inference pipelines —
+//! the scalar reference [`Mlp::infer`] and the batched fused
+//! packed-weight path [`Mlp::forward_batch`] — plus the scratch-reusing
+//! training passes [`Mlp::forward_train`] / [`Mlp::backward_train`], and
+//! the layers
 //! above (`pinnsoc`, `pinnsoc-fleet`) promise that all of them compute
 //! **bitwise identical** results per row (for training: identical
 //! predictions *and* identical accumulated gradients to
@@ -28,14 +29,16 @@
 //!    add per step, regardless of tile size, batch height, row blocking, or
 //!    weight packing. Float addition is not associative, so any reordering
 //!    (tree reductions, SIMD shuffles, `mul_add`) would break parity.
-//!    The SIMD paths in [`kernel`] honour this by vectorizing across the
-//!    *output column* dimension only — each lane is an independent
-//!    ascending-`k` accumulator with separate multiply and add
-//!    instructions (no FMA) — so **the f32 SIMD paths are bit-identical
-//!    to the scalar reference**, proptested in `tests/proptest_nn.rs`.
-//!    The int8 path accumulates in `i32` (exact integer arithmetic, so
-//!    kernel paths trivially agree) and carries an analytic
-//!    quantization-error bound instead; see [`quant`].
+//!    The AVX2 f32 kernels in [`kernel`] honour this by vectorizing
+//!    across the *output column* dimension only — each lane is an
+//!    independent ascending-`k` accumulator with separate multiply and
+//!    add instructions (no FMA) — so **f32 results are bit-identical on
+//!    every kernel path** (`scalar` and `sse2` both run the scalar
+//!    kernels), proptested in `tests/proptest_nn.rs`. The int8 path
+//!    accumulates in `i32` (exact integer arithmetic, so its scalar
+//!    reference and SIMD chain trivially agree, also proptested) and
+//!    carries an analytic quantization-error bound against f32 instead;
+//!    see [`quant`].
 //! 2. **Row independence.** A row's result never depends on which other
 //!    rows share its batch; batching is purely a storage/layout concern.
 //! 3. **Epilogue equivalence.** Bias and activation are applied to the

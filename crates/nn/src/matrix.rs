@@ -559,29 +559,24 @@ impl Matrix {
         let depth = self.cols;
         match path.min(kernel::detect()) {
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 | KernelPath::Avx2 => {
-                let avx2 = path == KernelPath::Avx2;
-                // AVX2 sweeps the strip-aligned columns for the whole
-                // batch in a single kernel call; the narrow column tail —
-                // and the whole matrix on SSE2 — runs the per-block
-                // kernels.
-                let mut j = 0;
-                if avx2 {
-                    let strips = n / 8;
-                    if strips > 0 {
-                        kernel::x86::gemm_batch(
-                            &self.data,
-                            self.rows,
-                            depth,
-                            &rhs.data,
-                            n,
-                            strips,
-                            &mut out.data,
-                            n,
-                        );
-                        j = strips * 8;
-                    }
+            KernelPath::Avx2 => {
+                // The strip-aligned columns run for the whole batch in a
+                // single kernel call; the narrow column tail runs the
+                // per-block kernel.
+                let strips = n / 8;
+                if strips > 0 {
+                    kernel::x86::gemm_batch(
+                        &self.data,
+                        self.rows,
+                        depth,
+                        &rhs.data,
+                        n,
+                        strips,
+                        &mut out.data,
+                        n,
+                    );
                 }
+                let j = strips * 8;
                 if j < n {
                     let mut i = 0;
                     while i < self.rows {
@@ -590,7 +585,6 @@ impl Matrix {
                         let out_block = &mut out.data[i * n + j..(i + ib - 1) * n + n];
                         if ib == 8 {
                             kernel::x86::gemm_block::<8>(
-                                avx2,
                                 lhs,
                                 depth,
                                 &rhs.data[j..],
@@ -602,7 +596,6 @@ impl Matrix {
                             );
                         } else {
                             kernel::x86::gemm_block::<1>(
-                                avx2,
                                 lhs,
                                 depth,
                                 &rhs.data[j..],
@@ -733,8 +726,7 @@ impl Matrix {
         out.reshape_for_overwrite(self.rows, n);
         match path {
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 | KernelPath::Avx2 => {
-                let avx2 = path == KernelPath::Avx2;
+            KernelPath::Avx2 => {
                 for panel in &packed.panels {
                     let j0 = panel.j0 as usize;
                     let width = panel.width as usize;
@@ -743,10 +735,10 @@ impl Matrix {
                         &packed.data[panel.offset as usize..panel.offset as usize + depth * stride];
                     let padded = stride != width;
                     // A full panel's width is a whole number of 8-column
-                    // strips, so AVX2 sweeps it for the entire batch in
-                    // one kernel call; padded tail panels — and every
-                    // panel on SSE2 — run the per-block kernels.
-                    if avx2 && !padded {
+                    // strips, so it runs for the entire batch in one
+                    // kernel call; a padded tail panel runs the per-block
+                    // kernel.
+                    if !padded {
                         kernel::x86::gemm_batch(
                             &self.data,
                             self.rows,
@@ -766,11 +758,11 @@ impl Matrix {
                         let out_block = &mut out.data[i * n + j0..(i + ib - 1) * n + n];
                         if ib == 8 {
                             kernel::x86::gemm_block::<8>(
-                                avx2, lhs, depth, data, stride, width, padded, out_block, n,
+                                lhs, depth, data, stride, width, padded, out_block, n,
                             );
                         } else {
                             kernel::x86::gemm_block::<1>(
-                                avx2, lhs, depth, data, stride, width, padded, out_block, n,
+                                lhs, depth, data, stride, width, padded, out_block, n,
                             );
                         }
                         i += ib;
@@ -855,9 +847,7 @@ impl Matrix {
                 let out_row = &mut out.data[k * rhs.cols..(k + 1) * rhs.cols];
                 match path {
                     #[cfg(target_arch = "x86_64")]
-                    KernelPath::Sse2 | KernelPath::Avx2 => {
-                        kernel::x86::axpy_row(path == KernelPath::Avx2, a, rhs_row, out_row);
-                    }
+                    KernelPath::Avx2 => kernel::x86::axpy_row(a, rhs_row, out_row),
                     _ => {
                         for (o, &b) in out_row.iter_mut().zip(rhs_row) {
                             *o += a * b;
@@ -897,7 +887,7 @@ impl Matrix {
         #[cfg(not(target_arch = "x86_64"))]
         let _ = path;
         #[cfg(target_arch = "x86_64")]
-        if matches!(path, KernelPath::Sse2 | KernelPath::Avx2) {
+        if path == KernelPath::Avx2 {
             // A dot-product form would need horizontal lane sums, which
             // reorder the accumulation. Instead transpose `rhs` into a
             // thread-local scratch and run the column-vectorized GEMM:

@@ -222,48 +222,22 @@ impl Mlp {
         x
     }
 
-    /// Batched inference over a `batch × input_dim` matrix, ping-ponging
-    /// between two scratch buffers so steady-state serving performs **zero
-    /// allocations** per batch. Returns a borrow of the scratch buffer
+    /// Batched inference over a `batch × input_dim` matrix through the
+    /// fused GEMM-epilogue kernels ([`Dense::forward_batch`]): per layer,
+    /// one kernel computes GEMM + bias + activation from packed weight
+    /// panels, ping-ponging between two scratch buffers so steady-state
+    /// serving performs **zero allocations** per batch. This is the
+    /// serving engines' hot path. Returns a borrow of the scratch buffer
     /// holding the `batch × output_dim` result.
     ///
     /// Per-row outputs are bit-exact with [`Mlp::infer`] /
-    /// [`Mlp::infer_scalar`] on the corresponding single row (see
-    /// [`Dense::forward_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != self.input_dim()`.
-    pub fn forward_batch<'s>(&self, input: &Matrix, scratch: &'s mut InferScratch) -> &'s Matrix {
-        self.forward_batch_impl(input, scratch, false)
-    }
-
-    /// [`Mlp::forward_batch`] through the fused GEMM-epilogue kernels
-    /// ([`Dense::forward_batch_fused`]): per layer, one kernel computes
-    /// GEMM + bias + activation from packed weight panels instead of a GEMM
-    /// followed by an elementwise sweep. This is the serving engines' hot
-    /// path.
-    ///
-    /// Bit-exact with [`Mlp::forward_batch`] and [`Mlp::infer`] (see the
+    /// [`Mlp::infer_scalar`] on the corresponding single row (see the
     /// [bit-exactness contract](crate#bit-exactness-contract)).
     ///
     /// # Panics
     ///
     /// Panics if `input.cols() != self.input_dim()`.
-    pub fn forward_batch_fused<'s>(
-        &self,
-        input: &Matrix,
-        scratch: &'s mut InferScratch,
-    ) -> &'s Matrix {
-        self.forward_batch_impl(input, scratch, true)
-    }
-
-    fn forward_batch_impl<'s>(
-        &self,
-        input: &Matrix,
-        scratch: &'s mut InferScratch,
-        fused: bool,
-    ) -> &'s Matrix {
+    pub fn forward_batch<'s>(&self, input: &Matrix, scratch: &'s mut InferScratch) -> &'s Matrix {
         assert_eq!(
             input.cols(),
             self.input_dim(),
@@ -281,11 +255,7 @@ impl Mlp {
                 src.as_ref().expect("previous layer ran")
             };
             let out = dst.get_or_insert_with(|| Matrix::zeros(1, 1));
-            if fused {
-                layer.forward_batch_fused(x, out);
-            } else {
-                layer.forward_batch(x, out);
-            }
+            layer.forward_batch(x, out);
         }
         let last = if self.layers.len().is_multiple_of(2) {
             &scratch.ping
@@ -528,36 +498,6 @@ mod tests {
         let batch2 = m.forward_batch(&x2, &mut scratch);
         assert_eq!(batch2.shape(), (5, 1));
         assert_eq!(batch2[(4, 0)].to_bits(), batch[(4, 0)].to_bits());
-    }
-
-    #[test]
-    fn forward_batch_fused_bitwise_matches_unfused_and_scalar() {
-        let m = Mlp::new(
-            &[3, 16, 32, 16, 1],
-            Activation::Relu,
-            Init::HeNormal,
-            &mut rng(),
-        );
-        let rows: Vec<[f32; 3]> = (0..23)
-            .map(|i| {
-                let t = i as f32 / 22.0;
-                [t, 1.0 - 2.0 * t, (t - 0.5) * 3.0]
-            })
-            .collect();
-        let x = Matrix::from_vec(rows.len(), 3, rows.iter().flatten().copied().collect());
-        let mut scratch = InferScratch::default();
-        let unfused = m.forward_batch(&x, &mut scratch).clone();
-        let mut scratch_fused = InferScratch::default();
-        let fused = m.forward_batch_fused(&x, &mut scratch_fused).clone();
-        assert_eq!(fused.shape(), unfused.shape());
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(fused[(i, 0)].to_bits(), unfused[(i, 0)].to_bits());
-            assert_eq!(fused[(i, 0)].to_bits(), m.infer_scalar(row).to_bits());
-        }
-        // Scratch reuse across sizes and across fused/unfused calls.
-        let x2 = x.slice_rows(3, 4);
-        let again = m.forward_batch_fused(&x2, &mut scratch).clone();
-        assert_eq!(again[(0, 0)].to_bits(), unfused[(3, 0)].to_bits());
     }
 
     #[test]

@@ -15,10 +15,22 @@
 //! - **Accumulation** is exact `i32` arithmetic
 //!   (`acc = Σ q_x[k] · q_w[k][j]`), so — unlike the f32 kernels, whose
 //!   bit-exactness rests on a strict accumulation order — every kernel
-//!   path (scalar, SSE2, AVX2 via `madd`) produces the identical
-//!   accumulator by associativity. The epilogue
-//!   `act(acc · s_in · s_w[j] + bias[j])` is shared scalar code, so the
-//!   whole layer output is bit-identical across paths.
+//!   flavor (scalar, SSE2/AVX2 `madd`, AVX-VNNI, AVX-512-VNNI) produces
+//!   the identical accumulator by associativity. The epilogue
+//!   `act(acc · s_in · s_w[j] + bias[j])` runs the same operation
+//!   sequence on every path, so the whole network output is bit-identical
+//!   across paths.
+//!
+//! # Kernel paths
+//!
+//! SIMD runs in exactly one place: the fully quantized chain of
+//! [`QuantizedMlp::forward_batch_with`], taken on the `sse2` and `avx2`
+//! paths when every layer is ReLU or Identity (every production network:
+//! ReLU hidden layers, Identity output). The input quantizes once, each
+//! hidden layer re-quantizes straight into the next layer's i16 input, and
+//! the output layer dequantizes to f32. Everything else — the `scalar`
+//! path, and networks with Tanh/Sigmoid/LeakyReLU layers on any path —
+//! runs the scalar int8 reference layer by layer.
 //!
 //! # Error contract
 //!
@@ -189,32 +201,6 @@ fn scalar_int8_block<const IB: usize>(
     }
 }
 
-/// Dispatches one `IB`-row × 8-column int8 accumulator block to the
-/// active kernel path.
-fn int8_block<const IB: usize>(
-    path: KernelPath,
-    q: &[i16],
-    q_stride: usize,
-    kpairs: usize,
-    wp: &[i16],
-    acc: &mut [i32],
-    acc_stride: usize,
-) {
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 | KernelPath::Avx2 => kernel::x86::int8_block::<IB>(
-            path == KernelPath::Avx2,
-            q,
-            q_stride,
-            kpairs,
-            wp,
-            acc,
-            acc_stride,
-        ),
-        _ => scalar_int8_block::<IB>(q, q_stride, kpairs, wp, acc, acc_stride),
-    }
-}
-
 /// One quantized dense layer: int8 weights, f32 bias, the f32 layer's
 /// activation, and the calibrated input scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,131 +236,72 @@ impl QuantizedLayer {
         &self.weights
     }
 
-    /// Quantizes the whole batch into `q` (stride `q_stride`) on the given
-    /// path — SIMD paths vectorize, but every lane reproduces
-    /// [`quantize_activation`] exactly. When the stride equals the fan-in
-    /// the batch quantizes in a single kernel call over the contiguous
-    /// matrix storage; an odd fan-in quantizes contiguously into `qtmp`
-    /// and scatters rows into the padded layout (the per-row kernel-call
-    /// overhead would otherwise dominate these tiny rows).
+    /// Quantizes the whole batch into `q` (stride `q_stride`) with the
+    /// SIMD quantize kernel; every lane reproduces [`quantize_activation`]
+    /// exactly. When the stride equals the fan-in the batch quantizes in a
+    /// single kernel call over the contiguous matrix storage; an odd
+    /// fan-in quantizes contiguously into `qtmp` and scatters rows into
+    /// the padded layout (the per-row kernel-call overhead would otherwise
+    /// dominate these tiny rows).
+    #[cfg(target_arch = "x86_64")]
     fn quantize_batch(
         &self,
         input: &Matrix,
         q: &mut [i16],
         q_stride: usize,
         qtmp: &mut Vec<i16>,
-        path: KernelPath,
+        avx2: bool,
     ) {
         let (batch, fan_in) = input.shape();
-        match path {
-            #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 | KernelPath::Avx2 => {
-                let avx2 = path == KernelPath::Avx2;
-                if q_stride == fan_in {
-                    kernel::x86::quantize_row(
-                        avx2,
-                        input.as_slice(),
-                        self.inv_input_scale,
-                        &mut q[..batch * fan_in],
-                    );
-                } else {
-                    // The temp carries `q_stride - fan_in` slack zeros so
-                    // every row scatters as one full-`q_stride` copy — the
-                    // overread lands in the next row's data or the slack,
-                    // and pad lanes only ever multiply zero weights, so
-                    // their values are irrelevant.
-                    qtmp.resize(batch * fan_in + (q_stride - fan_in), 0);
-                    kernel::x86::quantize_row(
-                        avx2,
-                        input.as_slice(),
-                        self.inv_input_scale,
-                        &mut qtmp[..batch * fan_in],
-                    );
-                    for r in 0..batch {
-                        q[r * q_stride..(r + 1) * q_stride]
-                            .copy_from_slice(&qtmp[r * fan_in..r * fan_in + q_stride]);
-                    }
-                }
-            }
-            _ => {
-                let _ = qtmp;
-                for r in 0..batch {
-                    let q_row = &mut q[r * q_stride..r * q_stride + fan_in];
-                    for (qv, &x) in q_row.iter_mut().zip(input.row(r)) {
-                        *qv = quantize_activation(x, self.inv_input_scale);
-                    }
-                }
+        if q_stride == fan_in {
+            kernel::x86::quantize_row(
+                avx2,
+                input.as_slice(),
+                self.inv_input_scale,
+                &mut q[..batch * fan_in],
+            );
+        } else {
+            // The temp carries `q_stride - fan_in` slack zeros so every
+            // row scatters as one full-`q_stride` copy — the overread
+            // lands in the next row's data or the slack, and pad lanes
+            // only ever multiply zero weights, so their values are
+            // irrelevant.
+            qtmp.resize(batch * fan_in + (q_stride - fan_in), 0);
+            kernel::x86::quantize_row(
+                avx2,
+                input.as_slice(),
+                self.inv_input_scale,
+                &mut qtmp[..batch * fan_in],
+            );
+            for r in 0..batch {
+                q[r * q_stride..(r + 1) * q_stride]
+                    .copy_from_slice(&qtmp[r * fan_in..r * fan_in + q_stride]);
             }
         }
     }
 
-    /// Dequantize + bias + activation for the columns `j0..fan_out` of a
-    /// block of `rows` output rows (`acc` and `out` already sliced to
-    /// start at column `j0`). ReLU and Identity (the serving network's
-    /// activations) run vectorized on the SIMD paths with bit-identical
-    /// scalar tails ([`relu_exact`]); the transcendental activations use
-    /// one shared scalar loop on every path — still path-bit-identical,
-    /// just not vectorized.
-    #[allow(clippy::too_many_arguments)]
-    fn epilogue_cols(
-        &self,
-        acc: &[i32],
-        acc_stride: usize,
-        out: &mut [f32],
-        out_stride: usize,
-        rows: usize,
-        j0: usize,
-        path: KernelPath,
-    ) {
-        let n = self.weights.fan_out - j0;
-        let dequant = &self.dequant[j0..];
-        let bias = &self.bias[j0..];
-        let simple = matches!(self.activation, Activation::Relu | Activation::Identity);
-        let relu = self.activation == Activation::Relu;
-        // Narrow tails (n < 8) go straight to the scalar loop: the kernel
-        // call would run zero vector iterations and only add overhead.
-        if simple && n >= 8 {
-            #[cfg(target_arch = "x86_64")]
-            if matches!(path, KernelPath::Sse2 | KernelPath::Avx2) {
-                kernel::x86::dequant_epilogue_block(
-                    path == KernelPath::Avx2,
-                    acc,
-                    acc_stride,
-                    dequant,
-                    bias,
-                    out,
-                    out_stride,
-                    rows,
-                    n,
-                    relu,
-                );
-                return;
-            }
-        }
-        let _ = path;
+    /// Dequantize + bias + activation for a block of `rows` output rows.
+    /// This is the scalar reference epilogue: ReLU runs as [`relu_exact`]
+    /// and Identity passes through, the exact per-lane operation sequence
+    /// of the SIMD chain's epilogues, so both are bit-identical; the
+    /// transcendental activations apply [`Activation::apply`].
+    fn epilogue(&self, acc: &[i32], acc_stride: usize, out: &mut [f32], rows: usize) {
+        let n = self.weights.fan_out;
         for r in 0..rows {
             for j in 0..n {
-                let v = acc[r * acc_stride + j] as f32 * dequant[j] + bias[j];
-                out[r * out_stride + j] = if !simple {
-                    self.activation.apply(v)
-                } else if relu {
-                    relu_exact(v)
-                } else {
-                    v
+                let v = acc[r * acc_stride + j] as f32 * self.dequant[j] + self.bias[j];
+                out[r * n + j] = match self.activation {
+                    Activation::Relu => relu_exact(v),
+                    Activation::Identity => v,
+                    act => act.apply(v),
                 };
             }
         }
     }
 
-    fn forward_into(
-        &self,
-        input: &Matrix,
-        q: &mut Vec<i16>,
-        qtmp: &mut Vec<i16>,
-        acc: &mut Vec<i32>,
-        out: &mut Matrix,
-        path: KernelPath,
-    ) {
+    /// The scalar int8 reference forward of one layer: quantize the input,
+    /// accumulate exact i32 sums panel by panel, then run the epilogue.
+    fn forward_into(&self, input: &Matrix, q: &mut Vec<i16>, acc: &mut Vec<i32>, out: &mut Matrix) {
         let (batch, fan_in) = input.shape();
         assert_eq!(
             fan_in, self.weights.fan_in,
@@ -392,40 +319,15 @@ impl QuantizedLayer {
         if q.len() < batch * q_stride {
             q.resize(batch * q_stride, 0);
         }
-        self.quantize_batch(input, q, q_stride, qtmp, path);
+        for r in 0..batch {
+            let q_row = &mut q[r * q_stride..r * q_stride + fan_in];
+            for (qv, &x) in q_row.iter_mut().zip(input.row(r)) {
+                *qv = quantize_activation(x, self.inv_input_scale);
+            }
+        }
 
         out.reset_for_overwrite(batch, fan_out);
         let out_data = out.as_mut_slice();
-
-        // ReLU/Identity layers on SIMD paths run the whole batched layer
-        // — GEMM, dequantize, bias, activation, ragged tail included — in
-        // one fused kernel call (bit-identical to the deferred epilogue,
-        // see `kernel::x86::int8_fused`): the per-block call overhead is
-        // what used to dominate these small layers. The scalar path and
-        // transcendental activations accumulate blocks into `acc` and run
-        // the deferred epilogue.
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.activation, Activation::Relu | Activation::Identity)
-            && matches!(path, KernelPath::Sse2 | KernelPath::Avx2)
-        {
-            kernel::x86::int8_fused(
-                path == KernelPath::Avx2,
-                &q[..batch * q_stride],
-                q_stride,
-                kpairs,
-                batch,
-                &self.weights.data,
-                panel_count,
-                fan_out,
-                &self.dequant,
-                &self.bias,
-                out_data,
-                fan_out,
-                self.activation == Activation::Relu,
-            );
-            return;
-        }
-
         if acc.len() < 8 * padded_cols {
             acc.resize(8 * padded_cols, 0);
         }
@@ -438,12 +340,12 @@ impl QuantizedLayer {
                 let wp = &self.weights.data[p * kpairs * 16..(p + 1) * kpairs * 16];
                 let acc_block = &mut acc[p * 8..];
                 if ib == 8 {
-                    int8_block::<8>(path, q_block, q_stride, kpairs, wp, acc_block, padded_cols);
+                    scalar_int8_block::<8>(q_block, q_stride, kpairs, wp, acc_block, padded_cols);
                 } else {
-                    int8_block::<1>(path, q_block, q_stride, kpairs, wp, acc_block, padded_cols);
+                    scalar_int8_block::<1>(q_block, q_stride, kpairs, wp, acc_block, padded_cols);
                 }
             }
-            self.epilogue_cols(acc, padded_cols, out_block, fan_out, ib, 0, path);
+            self.epilogue(acc, padded_cols, out_block, ib);
             i += ib;
         }
     }
@@ -590,8 +492,9 @@ impl QuantizedMlp {
 
     /// [`QuantizedMlp::forward_batch`] on an explicit kernel path — the
     /// parity tests compare paths without touching global state. All
-    /// paths are bit-identical (exact integer accumulation + shared
-    /// scalar quantize/epilogue).
+    /// paths are bit-identical (exact integer accumulation, and quantize
+    /// and epilogue lanes that reproduce the scalar reference's operation
+    /// sequence).
     pub fn forward_batch_with<'s>(
         &self,
         input: &Matrix,
@@ -605,8 +508,9 @@ impl QuantizedMlp {
         // runs one `int8_fused_quant` call whose epilogue re-quantizes
         // straight into the next layer's i16 input (f32 hidden
         // activations never touch memory — the chain computes the exact
-        // same values the materializing path would, see the kernel docs),
-        // and the last layer dequantizes to f32.
+        // same values the scalar reference would, see the kernel docs),
+        // and the last layer dequantizes to f32. Every other case runs
+        // the scalar reference layer by layer.
         #[cfg(target_arch = "x86_64")]
         if matches!(path, KernelPath::Sse2 | KernelPath::Avx2)
             && self
@@ -624,7 +528,7 @@ impl QuantizedMlp {
                 if q.len() < batch * stride {
                     q.resize(batch * stride, 0);
                 }
-                self.layers[0].quantize_batch(input, q, stride, qtmp, path);
+                self.layers[0].quantize_batch(input, q, stride, qtmp, avx2);
                 let last = self.layers.len() - 1;
                 for (i, layer) in self.layers.iter().enumerate() {
                     let w = &layer.weights;
@@ -677,17 +581,12 @@ impl QuantizedMlp {
         }
         {
             let QuantScratch {
-                q,
-                qtmp,
-                acc,
-                ping,
-                pong,
-                ..
+                q, acc, ping, pong, ..
             } = scratch;
             let mut first = true;
             for layer in &self.layers {
                 let src: &Matrix = if first { input } else { &*ping };
-                layer.forward_into(src, q, qtmp, acc, pong, path);
+                layer.forward_into(src, q, acc, pong);
                 std::mem::swap(ping, pong);
                 first = false;
             }

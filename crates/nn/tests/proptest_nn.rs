@@ -1,10 +1,13 @@
 //! Property-based tests for the NN substrate: algebraic identities of the
 //! matrix kernels, analytic properties of activations and losses, and the
-//! bit-exactness contract across the scalar / batched / fused inference
-//! pipelines (see the `pinnsoc_nn` crate docs).
+//! bit-exactness contract between the scalar and batched inference
+//! pipelines and across kernel paths (see the `pinnsoc_nn` crate docs).
 
 use pinnsoc_nn::matrix::PackedWeights;
-use pinnsoc_nn::{Activation, Dense, InferScratch, Init, Loss, Matrix, Mlp};
+use pinnsoc_nn::{
+    Activation, CalibrationStats, Dense, InferScratch, Init, KernelPath, Loss, Matrix, Mlp,
+    QuantScratch, QuantizedMlp,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +33,29 @@ fn any_activation() -> impl Strategy<Value = Activation> {
         Just(Activation::Sigmoid),
         Just(Activation::Identity),
         Just(Activation::LeakyRelu),
+    ]
+}
+
+/// Every kernel path; paths the host cannot run clamp to its best one.
+const PATHS: [KernelPath; 3] = [KernelPath::Scalar, KernelPath::Sse2, KernelPath::Avx2];
+
+/// Strategy: five per-layer activations for a quantized network. Half the
+/// draws are ReLU/Identity only (the int8 SIMD chain), the other half mix
+/// in at least one Tanh/Sigmoid/LeakyReLU at position 0 (the scalar int8
+/// reference on every path).
+fn int8_activation_mix() -> impl Strategy<Value = Vec<Activation>> {
+    let chain = prop_oneof![Just(Activation::Relu), Just(Activation::Identity)];
+    let other = prop_oneof![
+        Just(Activation::Tanh),
+        Just(Activation::Sigmoid),
+        Just(Activation::LeakyRelu),
+    ];
+    prop_oneof![
+        proptest::collection::vec(chain, 5usize),
+        (proptest::collection::vec(any_activation(), 5usize), other).prop_map(|(mut acts, a)| {
+            acts[0] = a;
+            acts
+        }),
     ]
 }
 
@@ -141,9 +167,98 @@ proptest! {
         }
     }
 
-    /// Bit-exactness contract, layer level: `infer`, `forward_batch`, and
-    /// `forward_batch_fused` agree bit-exactly per row across random layer
-    /// shapes, batch heights, and activations.
+    /// Bit-exactness contract, kernel paths: the fused GEMM and the plain,
+    /// transposed-lhs and transposed-rhs GEMMs are bit-identical on every
+    /// kernel path (AVX2 kernels on `avx2`, scalar kernels on `scalar` and
+    /// `sse2`) across random shapes covering every strip width and tail.
+    #[test]
+    fn f32_kernel_paths_bitwise_agree(
+        x in sized_matrix(1usize..22, 1usize..24),
+        fan_out in 1usize..41,
+        seed in -3.0f32..3.0,
+        act in any_activation(),
+    ) {
+        let (m, k) = x.shape();
+        let w = Matrix::from_vec(
+            k,
+            fan_out,
+            (0..k * fan_out).map(|i| ((i as f32) * 0.37 + seed).sin()).collect(),
+        );
+        let bias: Vec<f32> = (0..fan_out).map(|i| (i as f32 * 0.19 - seed).cos()).collect();
+        // `matmul_tn` pairs rows of `x` with rows of `y`; `matmul_nt` pairs
+        // columns of `x` with columns of `z`. Zeros exercise the rank-1
+        // update's exact-zero skip.
+        let y = Matrix::from_vec(
+            m,
+            fan_out,
+            (0..m * fan_out).map(|i| if i % 7 == 0 { 0.0 } else { (i as f32 * 0.53 - seed).cos() }).collect(),
+        );
+        let z = w.transpose();
+        let packed = PackedWeights::pack(&w);
+        let run = |path: KernelPath| {
+            let mut outs = [Matrix::zeros(1, 1), Matrix::zeros(1, 1), Matrix::zeros(1, 1), Matrix::zeros(1, 1)];
+            x.matmul_bias_act_into_with(&packed, &bias, act, &mut outs[0], path);
+            x.matmul_into_with(&w, &mut outs[1], path);
+            x.matmul_tn_into_with(&y, &mut outs[2], path);
+            x.matmul_nt_into_with(&z, &mut outs[3], path);
+            outs
+        };
+        let reference = run(KernelPath::Scalar);
+        for path in PATHS {
+            for (op, (out, r)) in run(path).iter().zip(&reference).enumerate() {
+                prop_assert_eq!(out.shape(), r.shape());
+                for (a, b) in out.as_slice().iter().zip(r.as_slice()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{} op {}: {} vs scalar {}", path, op, a, b);
+                }
+            }
+        }
+    }
+
+    /// Bit-exactness contract, int8 paths: `QuantizedMlp::forward_batch_with`
+    /// is bit-identical on every kernel path across random widths (odd
+    /// depths, ragged 8-column panels), batch heights, and activation
+    /// mixes, with inputs past the calibrated range so quantization clamps.
+    #[test]
+    fn int8_kernel_paths_bitwise_agree(
+        widths in proptest::collection::vec(1usize..=40, 2..6),
+        batch in 1usize..=21,
+        mix in int8_activation_mix(),
+        rotate in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let layer_count = widths.len() - 1;
+        let layers = widths
+            .windows(2)
+            .enumerate()
+            .map(|(l, w)| {
+                let act = mix[(l + rotate) % layer_count];
+                Dense::new(w[0], w[1], act, Init::HeNormal, &mut rng)
+            })
+            .collect();
+        let mlp = Mlp::from_layers(layers);
+        let x = Matrix::from_vec(
+            batch,
+            widths[0],
+            (0..batch * widths[0]).map(|i| ((i as f32) * 0.73 + seed as f32).sin() * 2.0).collect(),
+        );
+        let mut calib = CalibrationStats::new(layer_count);
+        calib.observe(&mlp, &x.map(|v| v * 0.75));
+        let qmlp = QuantizedMlp::quantize(&mlp, &calib);
+        let mut scratch = QuantScratch::default();
+        let reference = qmlp.forward_batch_with(&x, &mut scratch, KernelPath::Scalar).clone();
+        prop_assert_eq!(reference.shape(), (batch, widths[layer_count]));
+        for path in PATHS {
+            let out = qmlp.forward_batch_with(&x, &mut scratch, path);
+            for (a, b) in out.as_slice().iter().zip(reference.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} {:?}: {} vs scalar {}", path, widths, a, b);
+            }
+        }
+    }
+
+    /// Bit-exactness contract, layer level: `infer` and `forward_batch`
+    /// agree bit-exactly per row across random layer shapes, batch
+    /// heights, and activations.
     #[test]
     fn dense_pipelines_bitwise_agree(
         fan_in in 1usize..20,
@@ -164,21 +279,17 @@ proptest! {
             .collect();
         let mut batched = Matrix::zeros(1, 1);
         layer.forward_batch(&x, &mut batched);
-        let mut fused = Matrix::zeros(1, 1);
-        layer.forward_batch_fused(&x, &mut fused);
         prop_assert_eq!(batched.shape(), (batch, fan_out));
-        prop_assert_eq!(fused.shape(), (batch, fan_out));
         for r in 0..batch {
             for c in 0..fan_out {
                 let s = scalar_rows[r][(0, c)];
                 prop_assert_eq!(batched[(r, c)].to_bits(), s.to_bits(), "batch ({},{})", r, c);
-                prop_assert_eq!(fused[(r, c)].to_bits(), s.to_bits(), "fused ({},{})", r, c);
             }
         }
     }
 
     /// Bit-exactness contract, network level: full MLPs agree across the
-    /// three pipelines for random widths/depths/batch heights, including
+    /// two pipelines for random widths/depths/batch heights, including
     /// scratch reuse between differently-sized batches.
     #[test]
     fn mlp_pipelines_bitwise_agree(
@@ -197,22 +308,14 @@ proptest! {
         );
         let mut scratch = InferScratch::default();
         let batched = mlp.forward_batch(&x, &mut scratch).clone();
-        let fused = mlp.forward_batch_fused(&x, &mut scratch).clone();
         let scalar = mlp.infer(&x);
         prop_assert_eq!(batched.shape(), scalar.shape());
-        prop_assert_eq!(fused.shape(), scalar.shape());
-        for ((b, f), s) in batched
-            .as_slice()
-            .iter()
-            .zip(fused.as_slice())
-            .zip(scalar.as_slice())
-        {
+        for (b, s) in batched.as_slice().iter().zip(scalar.as_slice()) {
             prop_assert_eq!(b.to_bits(), s.to_bits(), "batched {} vs scalar {}", b, s);
-            prop_assert_eq!(f.to_bits(), s.to_bits(), "fused {} vs scalar {}", f, s);
         }
         // Reusing the same scratch for a single-row batch must not change
         // row results (row independence).
-        let first_row = mlp.forward_batch_fused(&Matrix::row_vector(x.row(0)), &mut scratch);
+        let first_row = mlp.forward_batch(&Matrix::row_vector(x.row(0)), &mut scratch);
         prop_assert_eq!(first_row[(0, 0)].to_bits(), scalar[(0, 0)].to_bits());
     }
 
