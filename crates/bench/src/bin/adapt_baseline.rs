@@ -3,7 +3,7 @@
 //!
 //! The flow mirrors production: the lab-trained demo serving model runs a
 //! closed-loop `drifting-fleet` session (aged mixed-EV fleet, mid-run cold
-//! snap) while a `pinnsoc-adapt` [`AdaptationEngine`] rides along as a
+//! snap) while a `pinnsoc-adapt` `AdaptationEngine` rides along as a
 //! fleet observer — harvesting EKF-labeled windows, detecting drift,
 //! fine-tuning candidates in the background, and hot-swapping the gate
 //! winner mid-session. The frozen lab model and the adapted model are then
@@ -18,21 +18,13 @@
 //! **bit-identical** between worker counts 0 and 2, and no file written.
 
 use pinnsoc::SocModel;
-use pinnsoc_adapt::{
-    AdaptEvent, AdaptReport, AdaptationConfig, AdaptationEngine, DriftConfig, GateConfig,
-    HarvestConfig,
-};
-use pinnsoc_bench::{demo_serving_model, demo_training_dataset, host_info, HostInfo};
-use pinnsoc_scenario::{
-    gate_suite, run_scenario_observed, standard_suite, EngineSpec, Scenario, ScenarioRunner,
-};
+use pinnsoc_adapt::{AdaptEvent, AdaptReport};
+use pinnsoc_bench::fixtures::{run_session, session_fingerprint, session_scenario, SUITE_SEED};
+use pinnsoc_bench::{demo_serving_model, host_info, write_bench_json, HostInfo};
+use pinnsoc_scenario::{standard_suite, Scenario, ScenarioRunner};
 use serde::Serialize;
-use std::path::Path;
 use std::sync::Arc;
 
-/// Suite seed — keep stable across PRs so the recorded numbers stay
-/// comparable (same seed as `scenario_baseline`).
-const SUITE_SEED: u64 = 42;
 /// Offset for the held-out scoring fleets: same scenario specs, fleets the
 /// adaptation session never saw.
 const HELD_OUT_OFFSET: u64 = 1000;
@@ -78,27 +70,6 @@ struct Baseline {
     scenarios: Vec<ScenarioComparison>,
 }
 
-/// The closed-loop session scenario: `drifting-fleet` from the standard
-/// suite (aged mixed-EV fleet), with the ambient widened to a hot-to-cold
-/// sweep — a production fleet harvests across its whole operating envelope,
-/// not one cabin temperature, and the adapted model is judged on held-out
-/// scenarios spanning that envelope. Shrunk in smoke mode.
-fn session_scenario(smoke: bool) -> Scenario {
-    let mut scenario = standard_suite(SUITE_SEED)
-        .into_iter()
-        .find(|s| s.name == "drifting-fleet")
-        .expect("standard suite carries the drift scenario");
-    scenario.environment = pinnsoc_scenario::EnvSchedule::Ramp {
-        from_c: 40.0,
-        to_c: -5.0,
-    };
-    if smoke {
-        scenario.population.cells = 8;
-        scenario.timing.duration_s = 600.0;
-    }
-    scenario
-}
-
 /// Held-out drive-cycle scenarios for frozen-vs-adapted scoring.
 fn scoring_suite(smoke: bool) -> Vec<Scenario> {
     standard_suite(SUITE_SEED.wrapping_add(HELD_OUT_OFFSET))
@@ -112,89 +83,6 @@ fn scoring_suite(smoke: bool) -> Vec<Scenario> {
             s
         })
         .collect()
-}
-
-fn adaptation_config(smoke: bool, workers: usize) -> AdaptationConfig {
-    let gate = gate_suite(SUITE_SEED)
-        .into_iter()
-        .map(|mut s| {
-            if smoke {
-                s.population.cells = 4;
-                s.timing.duration_s = 120.0;
-            }
-            s
-        })
-        .collect();
-    AdaptationConfig {
-        drift: DriftConfig {
-            window: 256,
-            threshold: 0.08,
-            min_samples: 64,
-        },
-        harvest: HarvestConfig {
-            reservoir_capacity: 2048,
-            seed: SUITE_SEED,
-            min_dt_s: 2.0,
-            rated_capacity_ah: 3.0,
-            ..HarvestConfig::default()
-        },
-        fine_tune: pinnsoc::TrainConfig {
-            b1_epochs: if smoke { 30 } else { 40 },
-            b2_epochs: 0, // harvested windows carry no horizon labels
-            batch_size: 64,
-            learning_rate: 1e-3,
-            ..pinnsoc::TrainConfig::sandia(pinnsoc::PinnVariant::NoPinn, 0)
-        },
-        candidate_seeds: vec![1, 2],
-        gate: GateConfig {
-            suite: gate,
-            runner_workers: workers,
-            engine: EngineSpec {
-                shards: 2,
-                micro_batch: 32,
-                workers,
-            },
-            min_improvement: 0.0,
-        },
-        train_workers: workers,
-        lab_cycles: 4,
-        min_reservoir: if smoke { 64 } else { 256 },
-        // Short enough for several rounds per session: each later round
-        // fine-tunes on a fuller reservoir and must beat the previous
-        // promotion at the gate to swap again.
-        cooldown_ticks: if smoke { 10 } else { 25 },
-        quantize: None,
-    }
-}
-
-/// Runs the full adaptation session at one worker count and returns the
-/// engine (promoted model, report, events inside).
-fn run_session(smoke: bool, workers: usize, model: &SocModel) -> AdaptationEngine {
-    let lab = Arc::new(demo_training_dataset());
-    let mut adapt = AdaptationEngine::new(adaptation_config(smoke, workers), lab);
-    let scenario = session_scenario(smoke);
-    run_scenario_observed(
-        &scenario,
-        model,
-        &EngineSpec {
-            shards: 4,
-            micro_batch: 64,
-            workers,
-        },
-        &mut adapt,
-    );
-    adapt
-}
-
-/// JSON fingerprint of everything deterministic about a session.
-fn session_fingerprint(adapt: &AdaptationEngine) -> String {
-    let promoted = adapt
-        .promoted()
-        .map(|m| serde_json::to_string(&**m).expect("serializable"))
-        .unwrap_or_default();
-    let events = serde_json::to_string(&adapt.events().to_vec()).expect("serializable");
-    let report = serde_json::to_string(&adapt.report()).expect("serializable");
-    format!("{promoted}|{events}|{report}")
 }
 
 fn score(suite: &[Scenario], model: &SocModel) -> Vec<pinnsoc_scenario::ScenarioResult> {
@@ -219,8 +107,8 @@ fn main() {
     // The adaptation session, twice: the loop's determinism contract says
     // worker counts change throughput, never results.
     println!("running the closed-loop adaptation session (workers {workers:?})...");
-    let fingerprint0 = session_fingerprint(&run_session(smoke, workers[0], &frozen));
-    let adapt = run_session(smoke, workers[1], &frozen);
+    let fingerprint0 = session_fingerprint(&run_session(smoke, workers[0], &frozen, None));
+    let adapt = run_session(smoke, workers[1], &frozen, None);
     assert_eq!(
         fingerprint0,
         session_fingerprint(&adapt),
@@ -302,8 +190,5 @@ fn main() {
         },
         scenarios: comparisons,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adapt.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_adapt.json");
-    println!("\nwrote BENCH_adapt.json");
+    write_bench_json("BENCH_adapt.json", &baseline);
 }

@@ -25,20 +25,18 @@
 //! to regenerate `BENCH_durable.json`. Pass `--smoke` for the CI-sized
 //! gate: same assertions, smaller fleets, no file written.
 
-use pinnsoc_bench::{host_info, HostInfo};
+use pinnsoc_bench::fixtures::{self, estimates, run_tick, steady_telemetry};
+use pinnsoc_bench::measure::{interleaved, upper_median};
+use pinnsoc_bench::{host_info, write_bench_json, HostInfo};
 use pinnsoc_durable::{recover, DurableConfig, DurableFleet};
 use pinnsoc_fleet::testing::untrained_model;
-use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, SocEstimate, Telemetry};
+use pinnsoc_fleet::FleetEngine;
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Serving protocol constants — same as `fleet_baseline` and
-/// `obs_baseline`, so overhead is measured against the recorded floor.
-const SHARDS: usize = 8;
-const MICRO_BATCH: usize = 512;
 /// The overhead budget: WAL-on median tick vs plain median tick.
 const MAX_OVERHEAD_FRAC: f64 = 0.05;
 /// Absolute noise floor: below this many seconds of difference, scheduler
@@ -100,48 +98,10 @@ struct Baseline {
     crash_loop_bit_identical: bool,
 }
 
-fn new_engine(fleet_size: usize) -> FleetEngine {
-    let mut engine = FleetEngine::new(
-        untrained_model(),
-        FleetConfig {
-            shards: SHARDS,
-            micro_batch: MICRO_BATCH,
-            workers: 0,
-            ekf_fallback: None,
-            ..FleetConfig::default()
-        },
-    );
-    for id in 0..fleet_size as u64 {
-        engine.register(
-            id,
-            CellConfig {
-                initial_soc: 0.9,
-                capacity_ah: 3.0,
-            },
-        );
-    }
-    engine
-}
-
-fn telemetry(fleet_size: usize, id: u64, tick: f64) -> Telemetry {
-    Telemetry {
-        time_s: tick,
-        voltage_v: 3.7 - 0.2 * (id as f64 / fleet_size as f64),
-        current_a: 1.0,
-        temperature_c: 25.0,
-    }
-}
-
-/// One plain serving tick, timed.
-fn run_tick(engine: &mut FleetEngine, fleet_size: usize, tick: f64) -> f64 {
-    let start = Instant::now();
-    for id in 0..fleet_size as u64 {
-        engine.ingest(id, telemetry(fleet_size, id, tick));
-    }
-    let totals = black_box(engine.process_pending());
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(totals, (fleet_size, fleet_size), "engine dropped cells");
-    wall
+/// The steady fleet `fleet_baseline` and `obs_baseline` tick, so overhead
+/// is measured against the recorded floor.
+fn plain_engine(cells: usize) -> FleetEngine {
+    fixtures::new_engine(&untrained_model(), cells, fixtures::fleet_config(0))
 }
 
 /// One WAL-logged serving tick — append, process, commit, flush. Returns
@@ -150,22 +110,12 @@ fn run_tick(engine: &mut FleetEngine, fleet_size: usize, tick: f64) -> f64 {
 fn run_durable_tick(durable: &mut DurableFleet, fleet_size: usize, tick: f64) -> (f64, f64) {
     let start = Instant::now();
     for id in 0..fleet_size as u64 {
-        durable.ingest(id, telemetry(fleet_size, id, tick));
+        durable.ingest(id, steady_telemetry(fleet_size, id, tick));
     }
     let totals = black_box(durable.process_pending().expect("tick commits"));
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(totals, (fleet_size, fleet_size), "engine dropped cells");
     (wall, durable.last_flush_seconds())
-}
-
-/// Every cell's estimate, bit-exact.
-fn estimates(engine: &FleetEngine, fleet_size: usize) -> Vec<(u64, SocEstimate)> {
-    (0..fleet_size as u64)
-        .map(|id| {
-            let (soc, source) = engine.estimate(id).expect("registered cell");
-            (soc.to_bits(), source)
-        })
-        .collect()
 }
 
 fn wal_overhead_check(smoke: bool) -> WalOverhead {
@@ -174,11 +124,11 @@ fn wal_overhead_check(smoke: bool) -> WalOverhead {
     println!("WAL overhead: {fleet_size} cells, {reps} interleaved timed ticks per engine...");
 
     let dir = tmpdir("overhead");
-    let mut base = new_engine(fleet_size);
+    let mut base = plain_engine(fleet_size);
     // Snapshot cadence off: this measures the steady-state append path,
     // not the (rotation-amortized) snapshot cost.
     let mut durable = DurableFleet::create(
-        new_engine(fleet_size),
+        plain_engine(fleet_size),
         DurableConfig {
             snapshot_every_ticks: 0,
             max_segment_bytes: u64::MAX,
@@ -187,30 +137,23 @@ fn wal_overhead_check(smoke: bool) -> WalOverhead {
     )
     .expect("create durable fleet");
 
-    // Interleaved tick-for-tick (after one warm-up each) so machine-load
-    // drift biases neither engine.
-    run_tick(&mut base, fleet_size, 1.0);
-    run_durable_tick(&mut durable, fleet_size, 1.0);
-    let mut base_samples = Vec::with_capacity(reps);
-    let mut hot_samples = Vec::with_capacity(reps);
-    let mut full_samples = Vec::with_capacity(reps);
-    let mut flush_samples = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let tick = 2.0 + rep as f64;
-        base_samples.push(run_tick(&mut base, fleet_size, tick));
-        let (full, flush) = run_durable_tick(&mut durable, fleet_size, tick);
-        hot_samples.push(full - flush);
-        full_samples.push(full);
-        flush_samples.push(flush);
-    }
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let base_median = median(&mut base_samples);
-    let hot_median = median(&mut hot_samples);
-    let full_median = median(&mut full_samples);
-    let flush_median = median(&mut flush_samples);
+    // Interleaved tick for tick, so machine-load drift biases neither
+    // engine.
+    let (mut base_samples, durable_samples) = interleaved(
+        reps,
+        |round| run_tick(&mut base, fleet_size, 1.0 + round as f64),
+        |round| run_durable_tick(&mut durable, fleet_size, 1.0 + round as f64),
+    );
+    let mut hot_samples: Vec<f64> = durable_samples
+        .iter()
+        .map(|(full, flush)| full - flush)
+        .collect();
+    let (mut full_samples, mut flush_samples): (Vec<f64>, Vec<f64>) =
+        durable_samples.into_iter().unzip();
+    let base_median = upper_median(&mut base_samples);
+    let hot_median = upper_median(&mut hot_samples);
+    let full_median = upper_median(&mut full_samples);
+    let flush_median = upper_median(&mut flush_samples);
 
     assert_eq!(
         estimates(&base, fleet_size),
@@ -263,12 +206,12 @@ fn recovery_check(cells: usize, tail_ticks: u64) -> RecoveryTiming {
         ..DurableConfig::new(&dir)
     };
     let mut durable =
-        DurableFleet::create(new_engine(cells), config.clone()).expect("create durable fleet");
+        DurableFleet::create(plain_engine(cells), config.clone()).expect("create durable fleet");
     // A committed WAL tail past the baseline snapshot: recovery replays
     // every report and re-runs a processing pass per commit.
     for tick in 1..=tail_ticks {
         for id in 0..cells as u64 {
-            durable.ingest(id, telemetry(cells, id, tick as f64));
+            durable.ingest(id, steady_telemetry(cells, id, tick as f64));
         }
         durable.process_pending().expect("tick commits");
     }
@@ -312,7 +255,7 @@ fn crash_loop_check(smoke: bool) -> usize {
     const CRASH_TICKS: [u64; 3] = [7, 15, 23];
     println!("crash loop: {cells} cells, killed at ticks {CRASH_TICKS:?} of {TOTAL_TICKS}...");
 
-    let mut control = new_engine(cells);
+    let mut control = plain_engine(cells);
     for tick in 1..=TOTAL_TICKS {
         run_tick(&mut control, cells, tick as f64);
     }
@@ -324,7 +267,7 @@ fn crash_loop_check(smoke: bool) -> usize {
         ..DurableConfig::new(&dir)
     };
     let mut durable =
-        Some(DurableFleet::create(new_engine(cells), config.clone()).expect("create"));
+        Some(DurableFleet::create(plain_engine(cells), config.clone()).expect("create"));
     let mut tick = 0;
     while tick < TOTAL_TICKS {
         tick += 1;
@@ -333,7 +276,7 @@ fn crash_loop_check(smoke: bool) -> usize {
         if CRASH_TICKS.contains(&tick) {
             // Tear: half the next tick's reports ingested, never committed.
             for id in 0..cells as u64 / 2 {
-                fleet.ingest(id, telemetry(cells, id, tick as f64 + 1.0));
+                fleet.ingest(id, steady_telemetry(cells, id, tick as f64 + 1.0));
             }
             drop(durable.take());
             let (recovered, report) = recover(config.clone(), 0).expect("recovery");
@@ -388,14 +331,11 @@ fn main() {
             .into(),
         max_overhead_frac: MAX_OVERHEAD_FRAC,
         // The worker count the measured engines resolved `workers: 0` to.
-        host: host_info(new_engine(0).worker_threads()),
+        host: host_info(plain_engine(0).worker_threads()),
         wal,
         recovery,
         crash_loop_crashes: crashes,
         crash_loop_bit_identical: true,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_durable.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_durable.json");
-    println!("\nwrote BENCH_durable.json");
+    write_bench_json("BENCH_durable.json", &baseline);
 }

@@ -13,22 +13,17 @@
 //! size) so the perf trajectory across PRs is comparable.
 
 use pinnsoc::{BatchScratch, PredictQuery, SocModel};
-use pinnsoc_bench::{host_info_with_mode, HostInfo};
+use pinnsoc_bench::fixtures::{fleet_config, new_engine, MICRO_BATCH, SHARDS};
+use pinnsoc_bench::measure::{median_time, upper_median};
+use pinnsoc_bench::{host_info_with_mode, write_bench_json, HostInfo};
 use pinnsoc_fleet::testing::{quantize_untrained, untrained_model};
 use pinnsoc_fleet::{
-    CellConfig, FleetConfig, FleetEngine, GateCertificate, GateTolerance, ServingMode, Telemetry,
-    WorkloadQuery,
+    FleetConfig, FleetEngine, GateCertificate, GateTolerance, ServingMode, Telemetry, WorkloadQuery,
 };
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Serving protocol constants — keep stable across PRs so the recorded
-/// numbers stay comparable.
-const SHARDS: usize = 8;
-const MICRO_BATCH: usize = 512;
 
 #[derive(Debug, Serialize)]
 struct StageBreakdownMs {
@@ -92,50 +87,25 @@ fn queries(n: usize) -> Vec<PredictQuery> {
         .collect()
 }
 
-/// Median seconds per call of `f` over `reps` timed repetitions (after one
-/// warm-up call).
-fn median_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// Builds a serving engine over `fleet_size` registered cells; in int8
 /// mode, installs a quantized shadow of the incumbent through the
 /// certificate door (this bench measures speed, not accuracy, so the
 /// certificate is minted from trivially-equal gate scores — the legality
 /// chain itself is exercised by the scenario gate tests).
 fn serving_engine(model: &SocModel, fleet_size: usize, int8: bool) -> FleetEngine {
-    let mut engine = FleetEngine::new(
-        model.clone(),
+    let serving = if int8 {
+        ServingMode::Int8
+    } else {
+        ServingMode::F32
+    };
+    let engine = new_engine(
+        model,
+        fleet_size,
         FleetConfig {
-            shards: SHARDS,
-            micro_batch: MICRO_BATCH,
-            workers: 0,
-            ekf_fallback: None,
-            serving: if int8 {
-                ServingMode::Int8
-            } else {
-                ServingMode::F32
-            },
+            serving,
+            ..fleet_config(0)
         },
     );
-    for id in 0..fleet_size as u64 {
-        engine.register(
-            id,
-            CellConfig {
-                initial_soc: 0.9,
-                capacity_ah: 3.0,
-            },
-        );
-    }
     if int8 {
         let registry = engine.registry();
         let incumbent = registry.current();
@@ -205,22 +175,21 @@ fn engine_pass(
         tick_samples.push(tick_s);
         ingest_total_s += ingest_s;
     }
-    tick_samples.sort_by(f64::total_cmp);
-    let engine_s = tick_samples[tick_samples.len() / 2];
+    let engine_s = upper_median(&mut tick_samples);
     let stages = engine.stage_times();
     let per_tick_ms = |s: f64| s * 1e3 / reps as f64;
-    let mean_tick_s: f64 = tick_samples.iter().sum::<f64>();
+    let tick_total_s: f64 = tick_samples.iter().sum::<f64>();
     let breakdown = StageBreakdownMs {
         ingest: per_tick_ms(ingest_total_s),
         gather: per_tick_ms(stages.gather.as_secs_f64()),
         gemm: per_tick_ms(stages.gemm.as_secs_f64()),
         scatter: per_tick_ms(stages.scatter.as_secs_f64()),
-        other: per_tick_ms((mean_tick_s - ingest_total_s - stages.total().as_secs_f64()).max(0.0)),
+        other: per_tick_ms((tick_total_s - ingest_total_s - stages.total().as_secs_f64()).max(0.0)),
     };
     (engine_s, breakdown)
 }
 
-fn measure(model: &SocModel, fleet_size: usize, reps: usize, check: bool) -> SizeResult {
+fn measure_size(model: &SocModel, fleet_size: usize, reps: usize, check: bool) -> SizeResult {
     let qs = queries(fleet_size);
 
     let sequential_s = median_time(reps, || {
@@ -296,7 +265,7 @@ fn main() {
     let results: Vec<SizeResult> = sizes
         .iter()
         .map(|&n| {
-            let r = measure(&model, n, reps, smoke);
+            let r = measure_size(&model, n, reps, smoke);
             println!(
                 "fleet {n:>6}: sequential {:>10.0}/s | batched {:>10.0}/s ({:.2}x) | sharded-parallel {:>10.0}/s ({:.2}x) | engine pass {:>10.0}/s | int8 pass {:>10.0}/s ({:.2}x)",
                 r.sequential_cells_per_sec,
@@ -340,8 +309,5 @@ fn main() {
         host: host_info_with_mode(probe.worker_threads(), "f32+int8"),
         results,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json");
+    write_bench_json("BENCH_fleet.json", &baseline);
 }

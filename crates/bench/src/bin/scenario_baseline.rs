@@ -10,14 +10,10 @@
 //! `BENCH_scenarios.json`. The full run performs the same determinism check
 //! before writing the file.
 
-use pinnsoc_bench::{demo_serving_model, host_info, HostInfo};
+use pinnsoc_bench::fixtures::SUITE_SEED;
+use pinnsoc_bench::{demo_serving_model, host_info, write_bench_json, HostInfo};
 use pinnsoc_scenario::{smoke_suite, standard_suite, Scenario, ScenarioRunner, SuiteRun};
 use serde::Serialize;
-use std::path::Path;
-
-/// Suite seed — keep stable across PRs so the recorded accuracy numbers
-/// stay comparable.
-const SUITE_SEED: u64 = 42;
 
 #[derive(Debug, Serialize)]
 struct ScenarioBench {
@@ -150,8 +146,5 @@ fn main() {
         host: host_info(workers[1]),
         scenarios,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scenarios.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_scenarios.json");
-    println!("\nwrote BENCH_scenarios.json");
+    write_bench_json("BENCH_scenarios.json", &baseline);
 }

@@ -34,7 +34,9 @@
 //! capacity are stamped next to the host metadata). Pass `--smoke` for
 //! the CI-sized gate: same assertions, smaller fleet, no file written.
 
-use pinnsoc_bench::{host_info, HostInfo};
+use pinnsoc_bench::fixtures::fleet_config;
+use pinnsoc_bench::measure::{percentile, upper_median};
+use pinnsoc_bench::{host_info, write_bench_json, HostInfo};
 use pinnsoc_fleet::testing::untrained_model;
 use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, Telemetry};
 use pinnsoc_obs::{AlertState, ObsHub, SloSpec};
@@ -47,8 +49,6 @@ use std::time::Instant;
 
 /// Engines the latency tiers shard across (the acceptance floor is 2).
 const ENGINES: usize = 4;
-/// Per-engine fleet shards.
-const SHARDS: usize = 8;
 /// Absolute ingest-to-estimate p99 budget, seconds. Generous: the bound
 /// exists to catch pathologies (a blocked tick loop, an unbounded drain),
 /// not to race the hardware.
@@ -111,25 +111,13 @@ fn telemetry(step: u64, id: u64) -> Telemetry {
     }
 }
 
-/// Every measured engine's configuration (`workers: 0` resolves to one
-/// less than the host's available parallelism).
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        shards: SHARDS,
-        micro_batch: 512,
-        workers: 0,
-        ekf_fallback: None,
-        ..FleetConfig::default()
-    }
-}
-
 fn build_tier(cells: usize, engines: usize, ring_capacity: usize) -> ServeTier {
     let mut tier = ServeTier::new(
         untrained_model(),
         ServeConfig {
             engines,
             ring_capacity,
-            fleet: fleet_config(),
+            fleet: fleet_config(0),
             durability: None,
         },
     )
@@ -144,12 +132,6 @@ fn build_tier(cells: usize, engines: usize, ring_capacity: usize) -> ServeTier {
         );
     }
     tier
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Drives one traffic shape through a fresh tier and folds every tick's
@@ -348,10 +330,8 @@ fn reader_contention_check(cells: usize, ring_capacity: usize, smoke: bool) -> R
 
     let (mut off, _) = run(0);
     let (mut on, queries) = run(reader_threads);
-    off.sort_by(f64::total_cmp);
-    on.sort_by(f64::total_cmp);
-    let off_median = off[off.len() / 2];
-    let on_median = on[on.len() / 2];
+    let off_median = upper_median(&mut off);
+    let on_median = upper_median(&mut on);
     let overhead = (on_median - off_median) / off_median;
     println!(
         "  off {:.3} ms | on {:.3} ms ({:+.2}%) | {queries} reader queries",
@@ -559,7 +539,7 @@ fn main() {
                       recovery alerting cycle"
             .into(),
         // The worker count the measured engines resolved `workers: 0` to.
-        host: host_info(FleetEngine::new(untrained_model(), fleet_config()).worker_threads()),
+        host: host_info(FleetEngine::new(untrained_model(), fleet_config(0)).worker_threads()),
         router_engines: ENGINES,
         ring_capacity,
         cells,
@@ -569,8 +549,5 @@ fn main() {
         topology_bit_identical: true,
         slo,
     };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
+    write_bench_json("BENCH_serve.json", &baseline);
 }

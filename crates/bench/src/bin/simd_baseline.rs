@@ -42,7 +42,9 @@
 //! and the minimum estimates uncontended speed, which is what the
 //! contract is about.
 
-use pinnsoc_bench::{host_info_with_mode, HostInfo};
+use pinnsoc_bench::fixtures::MICRO_BATCH;
+use pinnsoc_bench::measure::min_time;
+use pinnsoc_bench::{host_info_with_mode, write_bench_json, HostInfo};
 use pinnsoc_nn::kernel::{self, KernelPath};
 use pinnsoc_nn::{
     Activation, CalibrationStats, InferScratch, Init, Matrix, Mlp, PackedWeights, QuantScratch,
@@ -52,11 +54,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::Path;
-use std::time::Instant;
 
-/// Fleet serving micro-batch (keep in sync with `fleet_baseline`).
-const MICRO_BATCH: usize = 512;
 /// The serving MLP widths (both PINN branches use these hidden layers).
 const WIDTHS: [usize; 5] = [3, 16, 32, 16, 1];
 
@@ -114,22 +112,6 @@ struct Baseline {
     paths_measured: Vec<String>,
     shapes: Vec<ShapeResult>,
     forward: ForwardResult,
-}
-
-/// Minimum seconds per call of `f` over `reps` timed repetitions (after
-/// one warm-up call). The minimum, not the median: shared hosts show
-/// long contended stretches that shift the median run-to-run, while the
-/// fastest observed run converges on the uncontended speed the kernel
-/// contract is about.
-fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
@@ -387,8 +369,5 @@ fn main() {
             int8_shape_speedup_vs_simd: int8_shape_speedup,
         },
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_simd.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_simd.json");
-    println!("\nwrote BENCH_simd.json");
+    write_bench_json("BENCH_simd.json", &baseline);
 }

@@ -16,7 +16,7 @@
 use pinnsoc::train::{run_epochs, Batcher, EpochSpec, Eq2Objective, PhysicsTerm};
 use pinnsoc::{train, train_many, Branch2, PinnVariant, TrainConfig, TrainTask};
 use pinnsoc_battery::Chemistry;
-use pinnsoc_bench::{host_info, HostInfo};
+use pinnsoc_bench::{host_info, write_bench_json, HostInfo};
 use pinnsoc_data::{
     estimation_samples, generate_sandia, prediction_pairs_all, NoiseConfig, Normalizer,
     PhysicsSampler, SandiaConfig, SocDataset,
@@ -27,7 +27,6 @@ use rand::SeedableRng;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -461,8 +460,5 @@ fn main() {
         step_allocations,
         multi_seed: multi,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_train.json");
-    println!("\nwrote BENCH_train.json");
+    write_bench_json("BENCH_train.json", &baseline);
 }

@@ -1,7 +1,8 @@
 //! # pinnsoc-bench
 //!
 //! Experiment harness reproducing every figure and table of the paper's
-//! evaluation (§V), plus shared utilities for the Criterion benches.
+//! evaluation (§V), plus the `*_baseline` bins that record the system's
+//! costs in `BENCH_*.json` at the workspace root.
 //!
 //! Each experiment has a binary that regenerates the corresponding rows:
 //!
@@ -13,10 +14,22 @@
 //! | `fig5_rollout` | Fig. 5 — autoregressive full-discharge traces |
 //!
 //! Results are printed as text tables and written as JSON under `results/`.
+//!
+//! ## Measuring
+//!
+//! The baseline bins share one timing harness, [`measure`]: warm-up then
+//! timed samples, reduced by the upper median (`sorted[len / 2]`), the
+//! minimum (kernel microbenches only), or a nearest-rank percentile
+//! (`sorted[round((len - 1) · q)]`), plus round-for-round interleaving of
+//! two measured sides. [`fixtures`] holds the workloads several bins run:
+//! the steady serving tick on the serving protocol constants and the
+//! closed-loop adaptation session.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fixtures;
+pub mod measure;
 pub mod trajectory;
 
 use pinnsoc::{eval_prediction, train, PinnVariant, SocModel, TrainConfig};
@@ -269,6 +282,21 @@ pub fn git_rev() -> String {
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .map(|rev| rev.trim().to_string())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// Writes a baseline bin's record to `name` (a `BENCH_*.json`) at the
+/// workspace root, pretty-printed.
+///
+/// # Panics
+///
+/// Panics if the value cannot be serialized or the file cannot be written.
+pub fn write_bench_json<T: Serialize>(name: &str, value: &T) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    let json = serde_json::to_string_pretty(value).expect("serializable");
+    std::fs::write(&path, json).unwrap_or_else(|err| panic!("write {name}: {err}"));
+    println!("\nwrote {name}");
 }
 
 /// Writes any serializable result to `results/<name>.json` under the

@@ -101,6 +101,53 @@ pub struct FleetStats {
     pub max_soc: f64,
 }
 
+impl FleetStats {
+    /// Folds reporting cells' best-estimate SoCs, in the order given, into
+    /// the summary of a fleet of `registered` cells. The one aggregate
+    /// fold behind [`FleetEngine::stats`] (shard order) and the serve
+    /// tier's snapshots (id order): the mean is a float sum, so its bits
+    /// depend on the order the caller feeds.
+    pub fn fold(registered: usize, socs: impl IntoIterator<Item = f64>) -> Self {
+        let mut stats = FleetStats {
+            cells: registered,
+            reporting: 0,
+            mean_soc: 0.0,
+            min_soc: f64::MAX,
+            max_soc: f64::MIN,
+        };
+        for soc in socs {
+            stats.reporting += 1;
+            stats.mean_soc += soc;
+            stats.min_soc = stats.min_soc.min(soc);
+            stats.max_soc = stats.max_soc.max(soc);
+        }
+        if stats.reporting == 0 {
+            stats.min_soc = 0.0;
+            stats.max_soc = 0.0;
+        } else {
+            stats.mean_soc /= stats.reporting as f64;
+        }
+        stats
+    }
+}
+
+/// Histogram of SoC values: `bins` equal buckets over `[0, 1]`, the last
+/// bucket closed. The one binning behind [`FleetEngine::soc_histogram`]
+/// and the serve tier's snapshots.
+///
+/// # Panics
+///
+/// Panics if `bins` is zero.
+pub fn soc_histogram(socs: impl IntoIterator<Item = f64>, bins: usize) -> Vec<usize> {
+    assert!(bins > 0, "need at least one bin");
+    let mut histogram = vec![0usize; bins];
+    for soc in socs {
+        let bin = ((soc * bins as f64) as usize).min(bins - 1);
+        histogram[bin] += 1;
+    }
+    histogram
+}
+
 /// Cumulative telemetry accounting since engine construction: what arrived,
 /// what was folded in, and what was rejected and why. Transport faults
 /// (out-of-order frames, gateway NaNs, duplicated deliveries) are never
@@ -1109,61 +1156,34 @@ impl FleetEngine {
     ///
     /// Panics if `bins` is zero.
     pub fn soc_histogram(&self, bins: usize) -> Vec<usize> {
-        assert!(bins > 0, "need at least one bin");
-        let mut histogram = vec![0usize; bins];
-        self.for_each_estimate(|_, soc| {
-            let bin = ((soc * bins as f64) as usize).min(bins - 1);
-            histogram[bin] += 1;
-        });
-        histogram
+        soc_histogram(self.estimates().map(|(_, soc)| soc), bins)
     }
 
     /// Ids of reporting cells whose best estimate is below `threshold`,
     /// ascending.
     pub fn cells_below(&self, threshold: f64) -> Vec<CellId> {
-        let mut out = Vec::new();
-        self.for_each_estimate(|id, soc| {
-            if soc < threshold {
-                out.push(id);
-            }
-        });
+        let mut out: Vec<CellId> = self
+            .estimates()
+            .filter(|&(_, soc)| soc < threshold)
+            .map(|(id, _)| id)
+            .collect();
         out.sort_unstable();
         out
     }
 
-    /// Fleet-level summary statistics.
+    /// Fleet-level summary statistics, folded in shard order.
     pub fn stats(&self) -> FleetStats {
-        let mut stats = FleetStats {
-            cells: self.len(),
-            reporting: 0,
-            mean_soc: 0.0,
-            min_soc: f64::MAX,
-            max_soc: f64::MIN,
-        };
-        self.for_each_estimate(|_, soc| {
-            stats.reporting += 1;
-            stats.mean_soc += soc;
-            stats.min_soc = stats.min_soc.min(soc);
-            stats.max_soc = stats.max_soc.max(soc);
-        });
-        if stats.reporting == 0 {
-            stats.min_soc = 0.0;
-            stats.max_soc = 0.0;
-        } else {
-            stats.mean_soc /= stats.reporting as f64;
-        }
-        stats
+        FleetStats::fold(self.len(), self.estimates().map(|(_, soc)| soc))
     }
 
-    fn for_each_estimate(&self, mut f: impl FnMut(CellId, f64)) {
-        for idx in 0..self.shards.len() {
-            let shard = self.shard(idx);
-            for slot in 0..shard.cells.len() {
-                if let Some((soc, _)) = shard.cells.estimate(slot) {
-                    f(shard.cells.ids[slot], soc);
-                }
-            }
-        }
+    /// Every reporting cell's id and best-estimate SoC, in shard order then
+    /// slot order.
+    fn estimates(&self) -> impl Iterator<Item = (CellId, f64)> + '_ {
+        (0..self.shards.len()).flat_map(move |idx| {
+            let cells = &self.shard(idx).cells;
+            (0..cells.len())
+                .filter_map(move |slot| cells.estimate(slot).map(|(soc, _)| (cells.ids[slot], soc)))
+        })
     }
 
     /// Calls `f` with every reporting cell's id and full per-estimator

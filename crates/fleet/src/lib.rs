@@ -70,7 +70,8 @@ pub use cell::{
     AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown, SocEstimate,
 };
 pub use engine::{
-    FleetConfig, FleetEngine, FleetStats, ServingMode, StageTimes, TelemetryStats, WorkloadQuery,
+    soc_histogram, FleetConfig, FleetEngine, FleetStats, ServingMode, StageTimes, TelemetryStats,
+    WorkloadQuery,
 };
 pub use registry::{GateCertificate, GateTolerance, InstallError, ModelRegistry, ServingSnapshot};
 pub use telemetry::{CellId, Telemetry};

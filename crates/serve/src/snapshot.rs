@@ -58,13 +58,7 @@ impl ServeSnapshot {
             registered: 0,
             live_engines: 0,
             cells: Vec::new(),
-            stats: FleetStats {
-                cells: 0,
-                reporting: 0,
-                mean_soc: 0.0,
-                min_soc: 0.0,
-                max_soc: 0.0,
-            },
+            stats: FleetStats::fold(0, []),
         }
     }
 
@@ -80,26 +74,7 @@ impl ServeSnapshot {
             cells.windows(2).all(|w| w[0].0 < w[1].0),
             "snapshot cells must be strictly id-ascending"
         );
-        let mut stats = FleetStats {
-            cells: registered,
-            reporting: 0,
-            mean_soc: 0.0,
-            min_soc: f64::MAX,
-            max_soc: f64::MIN,
-        };
-        for (_, breakdown) in &cells {
-            let soc = breakdown.best.0;
-            stats.reporting += 1;
-            stats.mean_soc += soc;
-            stats.min_soc = stats.min_soc.min(soc);
-            stats.max_soc = stats.max_soc.max(soc);
-        }
-        if stats.reporting == 0 {
-            stats.min_soc = 0.0;
-            stats.max_soc = 0.0;
-        } else {
-            stats.mean_soc /= stats.reporting as f64;
-        }
+        let stats = FleetStats::fold(registered, cells.iter().map(|(_, b)| b.best.0));
         ServeSnapshot {
             tick,
             registered,
@@ -123,22 +98,15 @@ impl ServeSnapshot {
             .map(|idx| &self.cells[idx].1)
     }
 
-    /// Histogram of best-estimate SoC: `bins` equal buckets over `[0, 1]`,
-    /// last bucket closed — the same binning as
-    /// [`pinnsoc_fleet::FleetEngine::soc_histogram`], summed over the
-    /// whole tier.
+    /// Histogram of best-estimate SoC over the whole tier, binned by
+    /// [`pinnsoc_fleet::soc_histogram`]: `bins` equal buckets over
+    /// `[0, 1]`, last bucket closed.
     ///
     /// # Panics
     ///
     /// Panics if `bins` is zero.
     pub fn soc_histogram(&self, bins: usize) -> Vec<usize> {
-        assert!(bins > 0, "need at least one bin");
-        let mut histogram = vec![0usize; bins];
-        for (_, breakdown) in &self.cells {
-            let bin = ((breakdown.best.0 * bins as f64) as usize).min(bins - 1);
-            histogram[bin] += 1;
-        }
-        histogram
+        pinnsoc_fleet::soc_histogram(self.cells.iter().map(|(_, b)| b.best.0), bins)
     }
 
     /// Ids of reporting cells whose best estimate is below `threshold`,
