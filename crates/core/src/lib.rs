@@ -16,7 +16,7 @@
 //! | Module | Paper section |
 //! |---|---|
 //! | [`model`] | §III-A: the two-branch architecture (2,322 parameters), plus the batched serving API ([`SocModel::predict_batch`], [`BatchScratch`]) behind `pinnsoc-fleet` |
-//! | [`train`] | §III-B: split training + Eq. 2 physics loss, decomposed into batcher / objective / epoch loop, plus pool-parallel [`train_many`] and warm-start fine-tuning ([`train_from`], behind `pinnsoc-adapt`) |
+//! | [`train`](mod@train) | §III-B: split training + Eq. 2 physics loss, decomposed into batcher / objective / epoch loop, plus pool-parallel [`train_many`] and warm-start fine-tuning ([`train_from`], behind `pinnsoc-adapt`) |
 //! | [`config`] | the six variants of Figs. 3–4 |
 //! | [`eval`] | MAE metrics of Figs. 3–4 and Table I |
 //! | [`rollout`] | Fig. 2 / Fig. 5: autoregressive multi-step prediction |

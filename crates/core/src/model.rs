@@ -133,7 +133,7 @@ impl Branch2 {
     /// A cloneable snapshot of this branch's featurization (normalizer +
     /// horizon scale). The training objective featurizes physics batches
     /// through this while holding the branch's network mutably; both paths
-    /// share [`b2_feature_row`], so the rows are bit-identical.
+    /// share `b2_feature_row`, so the rows are bit-identical.
     pub fn featurizer(&self) -> Branch2Features {
         Branch2Features {
             norm_it: self.norm_it.clone(),

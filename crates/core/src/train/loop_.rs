@@ -3,7 +3,7 @@
 //!
 //! Both branches of the split training scheme (§III-B) run through this one
 //! loop; what differs between them — and between the paper's PINN variants
-//! — is only the [`Objective`](super::Objective) value passed in.
+//! — is only the [`Objective`] value passed in.
 
 use super::batcher::Batcher;
 use super::objective::Objective;

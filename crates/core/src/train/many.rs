@@ -4,10 +4,10 @@
 //! different datasets entirely — so they scale across cores exactly the way
 //! fleet serving does: through the shared
 //! [`pinnsoc_runtime::WorkerPool`]. Each task carries its own
-//! [`TrainConfig`] seed, and [`train`] derives every RNG stream from that
-//! seed alone, so results are deterministic and **identical to running the
-//! same `train()` calls serially** regardless of worker count or completion
-//! order.
+//! [`TrainConfig`] seed, and [`train`](crate::train()) derives every RNG
+//! stream from that seed alone, so results are deterministic and
+//! **identical to running the same `train()` calls serially** regardless
+//! of worker count or completion order.
 
 use super::{train_from_with, TrainReport};
 use crate::config::TrainConfig;
@@ -80,7 +80,7 @@ impl PoolTask for TrainTask {
 /// `workers` extra threads (the calling thread always participates; `0`
 /// runs everything on the calling thread, which is optimal on a single-core
 /// host). Results are returned **in task order** and are bit-identical to
-/// calling [`train`] on each task serially.
+/// calling [`train`](crate::train()) on each task serially.
 ///
 /// # Panics
 ///

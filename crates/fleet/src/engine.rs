@@ -141,9 +141,13 @@ impl FleetStats {
 pub fn soc_histogram(socs: impl IntoIterator<Item = f64>, bins: usize) -> Vec<usize> {
     assert!(bins > 0, "need at least one bin");
     let mut histogram = vec![0usize; bins];
+    // Through `i64`, one truncating conversion per value (`as usize` takes
+    // several); the clamp maps NaN, negatives and overflow to the same
+    // bins the unsigned cast would.
+    let last = bins as i64 - 1;
     for soc in socs {
-        let bin = ((soc * bins as f64) as usize).min(bins - 1);
-        histogram[bin] += 1;
+        let bin = ((soc * bins as f64) as i64).clamp(0, last);
+        histogram[bin as usize] += 1;
     }
     histogram
 }
@@ -260,6 +264,13 @@ pub(crate) struct Shard {
     /// zero-steady-state-allocation rationale as `scratch`), populated
     /// incrementally by [`Shard::absorb_one`] at ingest.
     dirty: Vec<u32>,
+    /// The slots the most recent pass estimated (empty when the pass
+    /// skipped this shard): last pass's `dirty`, swapped in rather than
+    /// cleared, so keeping it costs no allocation.
+    changed: Vec<u32>,
+    /// Cells whose first report this shard has accepted (a membership
+    /// event: the cell joins the reporting set).
+    first_reports: u64,
     /// Reports absorbed at ingest since the last pass.
     tick_absorbed: usize,
     /// Reused slot list for full-shard passes (`predict_all`).
@@ -295,6 +306,8 @@ impl Shard {
             features: Matrix::zeros(1, 1),
             estimates: Vec::new(),
             dirty: Vec::new(),
+            changed: Vec::new(),
+            first_reports: 0,
             tick_absorbed: 0,
             batch_slots: Vec::new(),
             // Registration seeds `dirty_generation` rows with 0, so the
@@ -369,6 +382,7 @@ impl Shard {
             mark = t;
         }
         let estimated = self.dirty.len();
+        std::mem::swap(&mut self.dirty, &mut self.changed);
         self.dirty.clear();
         self.generation += 1;
         // Worker-side recording: plain slot arithmetic over durations the
@@ -403,6 +417,7 @@ impl Shard {
             self.tick_absorbed += 1;
             if self.cells.reports[slot] == 1 {
                 self.reporting += 1;
+                self.first_reports += 1;
             }
             if self.cells.dirty_generation[slot] != self.generation {
                 self.cells.dirty_generation[slot] = self.generation;
@@ -486,6 +501,9 @@ pub struct FleetEngine {
     stage_times: StageTimes,
     /// Reports addressed to unregistered ids (rejected before sharding).
     unknown_cells: u64,
+    /// Registers, deregisters and imports so far; with the shards'
+    /// `first_reports`, the [`FleetEngine::membership_epoch`].
+    membership_changes: u64,
     /// Engine-thread observability state when attached.
     obs: Option<EngineObs>,
     /// Engine-thread flight-recorder state when tracing is attached.
@@ -543,6 +561,7 @@ impl FleetEngine {
             resolved: Vec::new(),
             stage_times: StageTimes::default(),
             unknown_cells: 0,
+            membership_changes: 0,
             obs: None,
             tracer: None,
         }
@@ -694,6 +713,7 @@ impl FleetEngine {
         }
         let slot = shard.cells.push(id, &config, ekf.as_ref());
         shard.index.insert(key, slot);
+        self.membership_changes += 1;
         true
     }
 
@@ -713,18 +733,23 @@ impl FleetEngine {
         if shard.cells.reports[slot] > 0 {
             shard.reporting -= 1;
         }
-        shard.dirty.retain(|&s| s as usize != slot);
-        if let Some(moved_id) = shard.cells.swap_remove(slot) {
-            // The shard's last cell now lives in `slot`; its dirty mark
-            // and index entry must follow it.
-            let last = shard.cells.len() as u32;
-            for s in shard.dirty.iter_mut() {
+        let moved = shard.cells.swap_remove(slot);
+        // The shard's last cell now lives in `slot` (unless it was the one
+        // removed); its dirty and changed marks and its index entry must
+        // follow it.
+        let last = shard.cells.len() as u32;
+        for list in [&mut shard.dirty, &mut shard.changed] {
+            list.retain(|&s| s as usize != slot);
+            for s in list.iter_mut() {
                 if *s == last {
                     *s = slot as u32;
                 }
             }
+        }
+        if let Some(moved_id) = moved {
             shard.index.reassign(Self::route(shards, moved_id).1, slot);
         }
+        self.membership_changes += 1;
         true
     }
 
@@ -836,12 +861,17 @@ impl FleetEngine {
             // Idle shards contribute (0, 0) by construction — don't queue
             // them (sparse-telemetry ticks commonly touch a few shards out
             // of many).
-            if slot.as_ref().is_some_and(|s| !s.dirty.is_empty()) {
-                let mut shard = slot.take().expect(Self::SHARD_LOST);
-                if let Some(tracer) = shard.tracer.as_mut() {
-                    tracer.parent = tick_span;
+            match slot {
+                Some(shard) if !shard.dirty.is_empty() => {
+                    let mut shard = slot.take().expect(Self::SHARD_LOST);
+                    if let Some(tracer) = shard.tracer.as_mut() {
+                        tracer.parent = tick_span;
+                    }
+                    self.tick_tasks.push((idx, shard));
                 }
-                self.tick_tasks.push((idx, shard));
+                // The pass skips this shard, so it estimates nothing here.
+                Some(shard) => shard.changed.clear(),
+                None => {}
             }
         }
         let panicked = self.pool.run(
@@ -1010,6 +1040,7 @@ impl FleetEngine {
                 shard.reporting += 1;
             }
         }
+        self.membership_changes += 1;
     }
 
     /// Seeds the cumulative telemetry books from a persisted aggregate —
@@ -1187,17 +1218,83 @@ impl FleetEngine {
     }
 
     /// Calls `f` with every reporting cell's id and full per-estimator
-    /// breakdown, in shard order then slot order — the service tier's bulk
-    /// snapshot seam: one linear sweep over the structure-of-arrays store
-    /// instead of one routed [`Self::estimate_breakdown`] lookup per cell.
+    /// breakdown, in shard order then slot order: one linear sweep over
+    /// the structure-of-arrays store instead of one routed
+    /// [`Self::estimate_breakdown`] lookup per cell.
     pub fn for_each_breakdown(&self, mut f: impl FnMut(CellId, EstimateBreakdown)) {
+        self.for_each_slot(|_, cells, slot| {
+            if let Some(breakdown) = cells.breakdown(slot) {
+                f(cells.ids[slot], breakdown);
+            }
+        });
+    }
+
+    /// Counts membership events: it moves on every successful
+    /// [`Self::register`] and [`Self::deregister`], every
+    /// [`Self::import_cells`] call, and every cell's first accepted report,
+    /// and on nothing else. While it stands still, the reporting cells and
+    /// their positions (see [`Self::breakdown_at`]) stay the same.
+    pub fn membership_epoch(&self) -> u64 {
+        let first_reports: u64 = (0..self.shards.len())
+            .map(|idx| self.shard(idx).first_reports)
+            .sum();
+        self.membership_changes + first_reports
+    }
+
+    /// Calls `f` with the position of every cell the most recent
+    /// [`Self::process_pending`] estimated, shard by shard. Every change to
+    /// a cell's breakdown goes through ingest (which marks the cell for
+    /// the next pass; rejected reports change nothing) or through the pass
+    /// itself, so after `ingest`/`ingest_batch` + `process_pending` this
+    /// visits every cell whose breakdown changed. A cell deregistered since
+    /// is dropped from the list.
+    pub fn for_each_changed(&self, mut f: impl FnMut(usize)) {
+        let mut start = 0;
         for idx in 0..self.shards.len() {
             let shard = self.shard(idx);
-            for slot in 0..shard.cells.len() {
-                if let Some(breakdown) = shard.cells.breakdown(slot) {
-                    f(shard.cells.ids[slot], breakdown);
-                }
+            for &slot in &shard.changed {
+                f(start + slot as usize);
             }
+            start += shard.cells.len();
+        }
+    }
+
+    /// Calls `f` with the position and id of every reporting cell, in
+    /// position order.
+    pub fn for_each_reporting(&self, mut f: impl FnMut(usize, CellId)) {
+        self.for_each_slot(|position, cells, slot| {
+            if cells.reports[slot] > 0 {
+                f(position, cells.ids[slot]);
+            }
+        });
+    }
+
+    /// One cell's breakdown by position: its index in shard-then-slot
+    /// order, the order of [`Self::ids`], [`Self::for_each_breakdown`] and
+    /// [`Self::export_cells`]. `None` for a cell that has not reported or a
+    /// position past the last cell.
+    pub fn breakdown_at(&self, position: usize) -> Option<EstimateBreakdown> {
+        let mut slot = position;
+        for idx in 0..self.shards.len() {
+            let cells = &self.shard(idx).cells;
+            if slot < cells.len() {
+                return cells.breakdown(slot);
+            }
+            slot -= cells.len();
+        }
+        None
+    }
+
+    /// Calls `f` with every registered cell's position, store and slot, in
+    /// shard order then slot order.
+    fn for_each_slot(&self, mut f: impl FnMut(usize, &CellStore, usize)) {
+        let mut start = 0;
+        for idx in 0..self.shards.len() {
+            let cells = &self.shard(idx).cells;
+            for slot in 0..cells.len() {
+                f(start + slot, cells, slot);
+            }
+            start += cells.len();
         }
     }
 }
@@ -1528,6 +1625,32 @@ mod tests {
         let after = engine.estimate(0).unwrap().0;
         assert_ne!(after, before, "new weights must change the estimate");
         assert_eq!(engine.registry().version(), 2);
+    }
+
+    #[test]
+    fn soc_histogram_bins_every_value_like_the_unsigned_cast() {
+        let socs = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -3.0,
+            -0.0,
+            0.0,
+            0.1,
+            0.25,
+            0.5,
+            0.999,
+            1.0,
+            1.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        for bins in [1, 3, 4, 32] {
+            let mut expected = vec![0; bins];
+            for soc in socs {
+                expected[((soc * bins as f64) as usize).min(bins - 1)] += 1;
+            }
+            assert_eq!(soc_histogram(socs, bins), expected, "{bins} bins");
+        }
     }
 
     #[test]

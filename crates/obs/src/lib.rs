@@ -31,7 +31,7 @@
 //!   scenario runner building a pool per call — is safe and cheap.
 //! - [`LocalMetrics`] + [`Recorder`]: lock-free per-shard/per-worker
 //!   accumulation with a no-op default implementation.
-//! - [`SpanTimer`] / [`span`]: monotonic span timing around tick stages,
+//! - [`SpanTimer`] / [`span()`]: monotonic span timing around tick stages,
 //!   pool runs, training epochs, scenario runs, and adapt rounds;
 //!   durations land in histograms with [`HistogramSnapshot::quantile`]
 //!   (p50/p99) read-out.

@@ -7,7 +7,7 @@
 //! | Path             | Content                                           |
 //! |------------------|---------------------------------------------------|
 //! | `/metrics`       | Prometheus text exposition ([`ObsHub::prometheus`]) |
-//! | `/snapshot.json` | Full [`ObsSnapshot`] as JSON                      |
+//! | `/snapshot.json` | Full [`ObsSnapshot`](crate::ObsSnapshot) as JSON  |
 //! | `/trace.json`    | Flight-recorder drain as Chrome trace JSON        |
 //! | `/healthz`       | Liveness + detail (200 ok/degraded, 503 page)     |
 //! | `/readyz`        | Readiness (200 when any lane can serve, else 503) |

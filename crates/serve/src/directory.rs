@@ -1,34 +1,47 @@
-//! The tier's id directory: where each swept cell lands in the id-sorted
-//! snapshot, kept across ticks so a steady tick places every cell without
-//! sorting.
+//! The tier's id directory: where each reporting cell lands in the
+//! id-sorted snapshot, kept across ticks so a steady tick writes only the
+//! cells that changed.
 //!
-//! [`ServeTier::tick`](crate::ServeTier::tick) sweeps the live engines'
-//! reporting cells in a fixed order (engine, then shard, then slot). While
-//! membership does not change, that sweep yields the same id sequence
-//! every tick, so every cell keeps its rank in id order. The directory
-//! records, per sweep position, the cell id and that rank:
+//! [`ServeTier::tick`](crate::ServeTier::tick) publishes every live
+//! engine's reporting cells in id order. The directory maps each cell's
+//! engine position (shard-then-slot order, see
+//! [`FleetEngine::breakdown_at`]) to its rank in id order, and each rank
+//! back to its lane and position. Positions and ranks hold while no lane's
+//! [`FleetEngine::membership_epoch`] moves and no lane goes down or comes
+//! back, so a tick takes one of two paths:
 //!
-//! - **Steady tick.** Each swept id is compared with the directory entry
-//!   at its sweep position. On a match the breakdown is written straight
-//!   to its rank in the snapshot buffer: no sort, no second buffer.
-//! - **Membership change.** A register or deregister, a cell's first
-//!   report, or a lane crash or recovery changes the sequence, and the
-//!   first mismatch invalidates the directory. The cells placed so far are
-//!   compacted to the front of the buffer and the rest of the sweep is
-//!   appended. One sort of 16-byte (id, buffer slot, sweep position)
-//!   records then yields both the new ranks and the permutation that puts
-//!   the buffer in id order, applied in place. The sweep still runs once,
-//!   and the 88-byte entries are never sorted.
+//! - **Patch.** Each lane's [`FleetEngine::for_each_changed`] names the
+//!   cells its pass just estimated; their ranks are set in a rank bitmap.
+//!   The buffer being refilled is the one published two ticks ago, so it
+//!   also misses the previous tick's changes, kept in a second bitmap. One
+//!   walk over the union of both bitmaps, in rank order, reads this tick's
+//!   ranks from the engines and copies last tick's from the current
+//!   snapshot. The writes are sequential, so a tick where every cell
+//!   changes does the work of a full sweep, and a tick where a few hundred
+//!   change touches only those. If a reader still holds that buffer, the
+//!   tick starts from a copy of the current snapshot instead and patches
+//!   this tick's ranks only.
+//! - **Rebuild.** On the first tick, when an epoch moved (register,
+//!   deregister, a cell's first report, an import), when a lane went down
+//!   or came back, or when the tier asks for one (a recovered lane, or a
+//!   tick that failed before publishing after its passes consumed their
+//!   changed lists), the directory sweeps every live lane's reporting
+//!   positions into 16-byte (id, lane, position) records and sorts them by
+//!   id. That order is the new rank order; every rank is then read from the
+//!   engines by the same walk.
 //!
-//! Either way the buffer ends id-ascending with exactly the swept cells,
-//! so the snapshot and its aggregates do not depend on which path ran.
+//! Either way the buffer ends id-ascending with exactly the live engines'
+//! reporting cells, so the snapshot and its aggregates do not depend on
+//! which path ran.
 
-use pinnsoc_fleet::{CellId, EstimateBreakdown, SocEstimate};
+use crate::snapshot::ServeSnapshot;
+use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetEngine, SocEstimate};
+use std::sync::Arc;
 
 /// One snapshot entry.
 type Entry = (CellId, EstimateBreakdown);
 
-/// Placeholder for buffer slots a steady tick is about to overwrite.
+/// Placeholder for buffer slots the walk is about to overwrite.
 const VACANT: Entry = (
     0,
     EstimateBreakdown {
@@ -41,220 +54,308 @@ const VACANT: Entry = (
     },
 );
 
-/// Sweep position → (cell id, rank in id order), valid for the sweep that
-/// last rebuilt it.
+/// Rank of a position whose cell has not reported.
+const NO_RANK: u32 = u32::MAX;
+
+/// Where the cell at one rank lives.
+#[derive(Debug, Clone, Copy)]
+struct Location {
+    lane: u32,
+    position: u32,
+}
+
+/// Engine position ↔ rank in id order, valid while membership holds.
 #[derive(Debug, Default)]
 pub(crate) struct IdDirectory {
-    /// Cell id at each sweep position.
-    ids: Vec<CellId>,
-    /// Rank in id order of each sweep position.
-    ranks: Vec<u32>,
-    /// Sweep position of each rank (the inverse of `ranks`).
-    positions: Vec<u32>,
+    /// Each lane's membership epoch when the ranks were last built
+    /// (`None` for a lane that was down).
+    epochs: Vec<Option<u64>>,
+    /// Each lane's rank per engine position (`NO_RANK` if not reporting).
+    ranks: Vec<Vec<u32>>,
+    /// The id at each rank, ascending: the id column of every snapshot
+    /// published until the next rebuild, which all share it.
+    ids: Arc<[CellId]>,
+    /// The cell at each rank.
+    locations: Vec<Location>,
+    /// Ranks whose cells this tick's passes changed.
+    changed: Vec<u64>,
+    /// Ranks at which the buffer published last tick (reclaimed next
+    /// tick) is behind the one published this tick.
+    behind: Vec<u64>,
+}
+
+/// One placed tick: the id-ascending cells and their id and SoC columns.
+pub(crate) struct Placed {
+    pub(crate) cells: Vec<Entry>,
+    pub(crate) ids: Arc<[CellId]>,
+    pub(crate) socs: Vec<f64>,
+    /// Whether the ranks were rebuilt.
+    pub(crate) rebuilt: bool,
+    /// Ranks read from the engines (every rank on a rebuild).
+    pub(crate) read: usize,
 }
 
 impl IdDirectory {
-    /// Starts placing one tick's sweep of at most `capacity` cells into
-    /// `cells` (any previous contents are overwritten or discarded).
-    pub(crate) fn placement<'a>(
-        &'a mut self,
-        cells: &'a mut Vec<Entry>,
-        capacity: usize,
-    ) -> Placement<'a> {
-        cells.resize(self.ids.len(), VACANT);
-        cells.reserve(capacity.saturating_sub(cells.len()));
-        Placement {
-            dir: self,
-            cells,
-            next: 0,
-            moves: None,
-        }
-    }
-}
-
-/// One buffer entry on the rebuild path.
-#[derive(Debug, Clone, Copy)]
-struct Move {
-    id: CellId,
-    /// Where the entry sits in the buffer now.
-    from: u32,
-    /// Its sweep position.
-    pos: u32,
-}
-
-/// Marks a source slot whose entry already reached its rank.
-const MOVED: u32 = u32::MAX;
-
-/// One tick's sweep in progress: feed every swept cell to
-/// [`place`](Self::place) in sweep order, then [`finish`](Self::finish).
-pub(crate) struct Placement<'a> {
-    dir: &'a mut IdDirectory,
-    cells: &'a mut Vec<Entry>,
-    /// Sweep position of the next cell.
-    next: usize,
-    /// `None` while every swept cell matched the directory; on the
-    /// rebuild path, one move per buffer entry, in buffer order.
-    moves: Option<Vec<Move>>,
-}
-
-impl Placement<'_> {
-    /// Places the next swept cell.
-    #[inline]
-    pub(crate) fn place(&mut self, id: CellId, breakdown: EstimateBreakdown) {
-        let pos = self.next;
-        self.next += 1;
-        if self.moves.is_none() {
-            if self.dir.ids.get(pos) == Some(&id) {
-                self.cells[self.dir.ranks[pos] as usize] = (id, breakdown);
-                return;
-            }
-            self.invalidate(pos);
-        }
-        let from = self.cells.len() as u32;
-        let moves = self.moves.as_mut().expect("rebuild path");
-        moves.push(Move {
-            id,
-            from,
-            pos: pos as u32,
-        });
-        self.cells.push((id, breakdown));
-    }
-
-    /// Switches to the rebuild path after `placed` matching cells: moves
-    /// those cells (they sit at ascending ranks) to the front of the
-    /// buffer, drops the slots nothing was written to, and starts the
-    /// move list.
-    fn invalidate(&mut self, placed: usize) {
-        let mut moves = Vec::with_capacity(self.cells.capacity());
-        for (rank, &pos) in self.dir.positions.iter().enumerate() {
-            if (pos as usize) < placed {
-                let from = moves.len();
-                self.cells[from] = self.cells[rank];
-                moves.push(Move {
-                    id: self.cells[from].0,
-                    from: from as u32,
-                    pos,
+    /// Places this tick's cells, given each lane's engine (`None` while
+    /// down), the `current` snapshot (published last tick), and the
+    /// buffers published the tick before, if no reader still holds them.
+    /// `rebuild` forces a rebuild.
+    pub(crate) fn place<'e>(
+        &mut self,
+        lanes: usize,
+        engine: impl Fn(usize) -> Option<&'e FleetEngine>,
+        current: &ServeSnapshot,
+        reclaimed: Option<ServeSnapshot>,
+        rebuild: bool,
+    ) -> Placed {
+        let rebuild = rebuild
+            || self.epochs.len() != lanes
+            || (0..lanes)
+                .any(|lane| self.epochs[lane] != engine(lane).map(FleetEngine::membership_epoch));
+        if rebuild {
+            self.rebuild(lanes, &engine);
+        } else {
+            for lane in 0..lanes {
+                let Some(engine) = engine(lane) else { continue };
+                let ranks = &self.ranks[lane];
+                engine.for_each_changed(|position| {
+                    let rank = ranks[position] as usize;
+                    self.changed[rank / 64] |= 1 << (rank % 64);
                 });
             }
         }
-        self.cells.truncate(moves.len());
-        self.moves = Some(moves);
+        let (mut cells, mut socs) = match reclaimed {
+            Some(snapshot) => (snapshot.cells, snapshot.socs),
+            None if rebuild => Default::default(),
+            // A reader still pins the old buffers: start from a copy of
+            // the current ones, which miss only this tick's changes.
+            None => {
+                self.behind.fill(0);
+                (current.cells.clone(), current.socs.clone())
+            }
+        };
+        let len = self.locations.len();
+        cells.resize(len, VACANT);
+        socs.resize(len, 0.0);
+        let mut read = 0;
+        for word in 0..self.changed.len() {
+            let fresh = std::mem::take(&mut self.changed[word]);
+            let mut bits = fresh | std::mem::replace(&mut self.behind[word], fresh);
+            read += fresh.count_ones() as usize;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let rank = word * 64 + bit as usize;
+                if fresh >> bit & 1 == 1 {
+                    let at = self.locations[rank];
+                    let breakdown = engine(at.lane as usize)
+                        .and_then(|engine| engine.breakdown_at(at.position as usize))
+                        .expect("a ranked cell is live and reporting");
+                    cells[rank] = (self.ids[rank], breakdown);
+                    socs[rank] = breakdown.best.0;
+                } else {
+                    cells[rank] = current.cells[rank];
+                    socs[rank] = current.socs[rank];
+                }
+            }
+        }
+        Placed {
+            cells,
+            ids: Arc::clone(&self.ids),
+            socs,
+            rebuilt: rebuild,
+            read,
+        }
     }
 
-    /// Completes the sweep, leaving the buffer id-ascending. Returns
-    /// whether the directory had to be rebuilt.
-    pub(crate) fn finish(mut self) -> bool {
-        if self.moves.is_none() {
-            if self.next == self.dir.ids.len() {
-                return false;
-            }
-            // The sweep ended early: fewer cells than last time.
-            self.invalidate(self.next);
+    /// Ranks every live lane's reporting cells afresh and marks every rank
+    /// changed, in the buffer being filled and the one reclaimed next tick.
+    fn rebuild<'e>(&mut self, lanes: usize, engine: &impl Fn(usize) -> Option<&'e FleetEngine>) {
+        self.epochs.clear();
+        self.epochs
+            .extend((0..lanes).map(|lane| engine(lane).map(FleetEngine::membership_epoch)));
+        self.ranks.resize_with(lanes, Vec::new);
+        let mut records = Vec::new();
+        for lane in 0..lanes {
+            self.ranks[lane].clear();
+            let Some(engine) = engine(lane) else { continue };
+            self.ranks[lane].resize(engine.len(), NO_RANK);
+            engine.for_each_reporting(|position, id| {
+                let position = u32::try_from(position).expect("engine positions fit in u32");
+                records.push((
+                    id,
+                    Location {
+                        lane: lane as u32,
+                        position,
+                    },
+                ));
+            });
         }
-        let mut moves = self.moves.take().expect("rebuild path");
-        // Ids are unique across the tier, so this ranks every entry.
-        moves.sort_unstable_by_key(|m| m.id);
-        let dir = &mut *self.dir;
-        let cells = &mut *self.cells;
-        // Put every entry at its rank in place, one permutation cycle at
-        // a time: each slot takes the entry its move names, and the cycle
-        // closes on the entry first lifted out. `ranks` serves as the
-        // compact list of sources (and done marks) until it is rebuilt.
-        let sources = &mut dir.ranks;
-        sources.clear();
-        sources.extend(moves.iter().map(|m| m.from));
-        for start in 0..sources.len() {
-            let mut from = sources[start];
-            if from == MOVED || from as usize == start {
-                continue;
-            }
-            let lifted = cells[start];
-            let mut at = start;
-            loop {
-                sources[at] = MOVED;
-                if from as usize == start {
-                    cells[at] = lifted;
-                    break;
-                }
-                cells[at] = cells[from as usize];
-                at = from as usize;
-                from = sources[at];
-            }
+        // Ids are unique across the tier, so this ranks every cell.
+        records.sort_unstable_by_key(|&(id, _)| id);
+        self.ids = records.iter().map(|&(id, _)| id).collect();
+        self.locations.clear();
+        self.locations.extend(records.iter().map(|&(_, at)| at));
+        for (rank, at) in self.locations.iter().enumerate() {
+            self.ranks[at.lane as usize][at.position as usize] = rank as u32;
         }
-        dir.ids.resize(moves.len(), 0);
-        dir.positions.resize(moves.len(), 0);
-        for (rank, m) in moves.iter().enumerate() {
-            dir.ids[m.pos as usize] = m.id;
-            dir.ranks[m.pos as usize] = rank as u32;
-            dir.positions[rank] = m.pos;
-        }
-        true
+        let len = self.locations.len();
+        self.changed.clear();
+        self.changed.extend(
+            (0..len)
+                .step_by(64)
+                .map(|start| !0 >> (64 - (len - start).min(64))),
+        );
+        self.behind.clear();
+        self.behind.resize(self.changed.len(), 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinnsoc_fleet::testing::untrained_model;
+    use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
 
-    fn breakdown(soc: f64) -> EstimateBreakdown {
-        EstimateBreakdown {
-            best: (soc, SocEstimate::Network),
-            coulomb: soc,
-            ..VACANT.1
-        }
+    fn engine(shards: usize) -> FleetEngine {
+        FleetEngine::new(
+            untrained_model(),
+            FleetConfig {
+                shards,
+                workers: 1,
+                ..FleetConfig::default()
+            },
+        )
     }
 
-    /// Places `sweep` (ids, with each id's SoC its own value / 100) and
-    /// returns the resulting ids and whether the directory was rebuilt.
-    fn tick(dir: &mut IdDirectory, cells: &mut Vec<Entry>, sweep: &[CellId]) -> bool {
-        let mut placement = dir.placement(cells, sweep.len());
-        for &id in sweep {
-            placement.place(id, breakdown(id as f64 / 100.0));
+    fn register(engine: &mut FleetEngine, id: CellId) {
+        engine.register(
+            id,
+            CellConfig {
+                initial_soc: 0.5,
+                capacity_ah: 2.5,
+            },
+        );
+    }
+
+    fn report(engine: &mut FleetEngine, id: CellId, time_s: f64) {
+        engine.ingest(
+            id,
+            Telemetry {
+                time_s,
+                voltage_v: 3.5 + 0.01 * id as f64,
+                current_a: 1.0,
+                temperature_c: 25.0,
+            },
+        );
+    }
+
+    /// One tier's worth of state: the directory, the published snapshot
+    /// and the one before it.
+    struct Tier {
+        dir: IdDirectory,
+        current: ServeSnapshot,
+        displaced: Option<ServeSnapshot>,
+    }
+
+    impl Tier {
+        fn new() -> Self {
+            Tier {
+                dir: IdDirectory::default(),
+                current: ServeSnapshot::empty(),
+                displaced: None,
+            }
         }
-        let rebuilt = placement.finish();
-        let mut expected: Vec<CellId> = sweep.to_vec();
-        expected.sort_unstable();
-        let ids: Vec<CellId> = cells.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, expected, "sweep {sweep:?}");
-        for (id, b) in cells.iter() {
-            assert_eq!(
-                b.best.0,
-                *id as f64 / 100.0,
-                "cell {id} carries its own value"
+
+        /// Runs each engine's pass, places and publishes, checks the
+        /// snapshot against a sweep-and-sort build, and returns whether
+        /// the directory rebuilt and how many ranks it read.
+        fn tick(&mut self, engines: &mut [Option<FleetEngine>], pinned: bool) -> (bool, usize) {
+            for engine in engines.iter_mut().flatten() {
+                engine.process_pending();
+            }
+            let reclaimed = if pinned { None } else { self.displaced.take() };
+            let placed = self.dir.place(
+                engines.len(),
+                |lane| engines[lane].as_ref(),
+                &self.current,
+                reclaimed,
+                false,
             );
+            let next = ServeSnapshot::build(0, 0, 0, placed.cells, placed.ids, placed.socs);
+            self.displaced = Some(std::mem::replace(&mut self.current, next));
+            let mut expected = Vec::new();
+            for engine in engines.iter().flatten() {
+                engine.for_each_breakdown(|id, b| expected.push((id, b.best.0.to_bits())));
+            }
+            expected.sort_unstable_by_key(|(id, _)| *id);
+            let got: Vec<_> = self
+                .current
+                .cells
+                .iter()
+                .map(|(id, b)| (*id, b.best.0.to_bits()))
+                .collect();
+            assert_eq!(got, expected);
+            (placed.rebuilt, placed.read)
         }
-        rebuilt
     }
 
     #[test]
-    fn steady_sweeps_skip_the_rebuild() {
-        let mut dir = IdDirectory::default();
-        let mut cells = Vec::new();
-        assert!(tick(&mut dir, &mut cells, &[9, 1, 4, 7]));
-        assert!(!tick(&mut dir, &mut cells, &[9, 1, 4, 7]));
-        // A fresh buffer (the old one still pinned by a reader) works too.
-        let mut fresh = Vec::new();
-        assert!(!tick(&mut dir, &mut fresh, &[9, 1, 4, 7]));
+    fn steady_ticks_patch_only_changed_ranks() {
+        let mut engines = [Some(engine(2)), Some(engine(3))];
+        let mut tier = Tier::new();
+        for id in 0..40 {
+            register(engines[(id % 2) as usize].as_mut().unwrap(), id);
+        }
+        for id in 0..40 {
+            report(engines[(id % 2) as usize].as_mut().unwrap(), id, 1.0);
+        }
+        assert_eq!(tier.tick(&mut engines, false), (true, 40));
+        // Nothing reported: nothing read, and the reclaimed buffer (two
+        // ticks old) catches up from the current snapshot.
+        assert_eq!(tier.tick(&mut engines, false), (false, 0));
+        for (time_s, id) in [(2.0, 7), (2.0, 30), (3.0, 7)] {
+            report(engines[(id % 2) as usize].as_mut().unwrap(), id, time_s);
+        }
+        assert_eq!(tier.tick(&mut engines, false), (false, 2));
+        report(engines[1].as_mut().unwrap(), 9, 2.0);
+        // A pinned old buffer: the tick patches a copy of the current one.
+        assert_eq!(tier.tick(&mut engines, true), (false, 1));
+        assert_eq!(tier.tick(&mut engines, false), (false, 0));
     }
 
+    type Lanes = [Option<FleetEngine>; 2];
+
     #[test]
-    fn every_kind_of_sequence_change_rebuilds() {
-        let mut dir = IdDirectory::default();
-        let mut cells = Vec::new();
-        tick(&mut dir, &mut cells, &[9, 1, 4, 7]);
-        // Mismatch in the middle, at the start, at the end, a longer and a
-        // shorter sweep, then an empty one.
-        for sweep in [
-            &[9, 1, 5, 7][..],
-            &[2, 1, 5, 7],
-            &[2, 1, 5, 8],
-            &[2, 1, 5, 8, 3],
-            &[2, 1, 5],
-            &[],
-            &[6, 3],
-        ] {
-            assert!(tick(&mut dir, &mut cells, sweep), "{sweep:?} must rebuild");
-            assert!(!tick(&mut dir, &mut cells, sweep), "{sweep:?} then holds");
+    fn every_kind_of_membership_change_rebuilds() {
+        let mut engines = [Some(engine(2)), Some(engine(1))];
+        let mut tier = Tier::new();
+        for id in 0..10 {
+            register(engines[(id % 2) as usize].as_mut().unwrap(), id);
+            report(engines[(id % 2) as usize].as_mut().unwrap(), id, 1.0);
+        }
+        assert!(tier.tick(&mut engines, false).0);
+        let changes: [&dyn Fn(&mut Lanes); 5] = [
+            // Registering a cell that has not reported yet.
+            &|e| register(e[0].as_mut().unwrap(), 20),
+            // Its first report.
+            &|e| report(e[0].as_mut().unwrap(), 20, 1.0),
+            &|e| {
+                e[1].as_mut().unwrap().deregister(3);
+            },
+            // A lane going down, then coming back.
+            &|e| e[1] = None,
+            &|e| {
+                let mut back = engine(1);
+                register(&mut back, 5);
+                report(&mut back, 5, 1.0);
+                e[1] = Some(back);
+            },
+        ];
+        for (i, change) in changes.iter().enumerate() {
+            change(&mut engines);
+            assert!(tier.tick(&mut engines, false).0, "change {i} must rebuild");
+            assert!(!tier.tick(&mut engines, false).0, "change {i} then holds");
         }
     }
 }

@@ -13,22 +13,26 @@
 //!   pinned snapshot. A reader iterating a snapshot for minutes costs the
 //!   tick loop nothing but delayed buffer reuse.
 //! - The tick loop **double-buffers**: publishing swaps an `Arc` pointer
-//!   and hands the previous snapshot back; once the last reader drops it,
-//!   its cell buffer is reclaimed for a future tick
-//!   (`Arc::try_unwrap`), so steady-state serving re-uses two buffers
-//!   instead of allocating per tick.
-//! - Aggregates are computed from the **id-sorted** cell sweep, giving
-//!   every float reduction one canonical summation order. That is what
-//!   makes tier outputs bit-identical across engine counts, per-engine
-//!   shard counts, and worker counts: placement changes where a cell
-//!   lives, never where it lands in the sorted sweep.
-//! - Id order costs no sort on a steady tick: the tier's id directory
-//!   (`directory` module) remembers each swept cell's rank and writes its
-//!   breakdown straight there. Only a membership change (register,
+//!   and hands the previous snapshot back; one tick later, once no reader
+//!   holds it, its buffers are reclaimed (`Arc::try_unwrap`) and brought
+//!   up to date by patching only the ranks that changed in the two ticks
+//!   since it was current. A steady tick therefore allocates nothing and
+//!   costs what changed, not what exists. If a reader still pins the old
+//!   snapshot, the tick clones the current one and patches the clone.
+//! - Aggregates are computed in **id order**, giving every float reduction
+//!   one canonical summation order. That is what makes tier outputs
+//!   bit-identical across engine counts, per-engine shard counts, and
+//!   worker counts: placement changes where a cell lives, never where it
+//!   lands in id order. Each snapshot keeps id and best-estimate SoC
+//!   columns beside its cells; the fold, the histogram, the threshold scan
+//!   and the id lookup stream those 8-byte columns, not the 88-byte
+//!   entries.
+//! - The tier's id directory (`directory` module) maps each engine
+//!   position to its rank in id order. Only a membership change (register,
 //!   deregister, a cell's first report, a lane crash or recovery) ranks
-//!   the cells afresh and rebuilds the directory. Both paths hand
-//!   [`ServeSnapshot`] the same id-ascending cells, so its contents and
-//!   aggregates do not depend on which one ran.
+//!   the cells afresh. Patch and rebuild both hand [`ServeSnapshot`] the
+//!   same id-ascending cells, so its contents and aggregates do not
+//!   depend on which one ran.
 
 use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetStats};
 use std::sync::{Arc, RwLock};
@@ -47,39 +51,51 @@ pub struct ServeSnapshot {
     pub live_engines: usize,
     /// `(id, breakdown)` for every reporting cell, ascending by id.
     pub cells: Vec<(CellId, EstimateBreakdown)>,
+    /// Each cell's id and best-estimate SoC, in the same order as `cells`
+    /// (snapshots with the same cells share one id column).
+    pub(crate) ids: Arc<[CellId]>,
+    pub(crate) socs: Vec<f64>,
     stats: FleetStats,
 }
 
 impl ServeSnapshot {
     /// The empty snapshot readers see before the first tick.
     pub fn empty() -> Self {
-        ServeSnapshot {
-            tick: 0,
-            registered: 0,
-            live_engines: 0,
-            cells: Vec::new(),
-            stats: FleetStats::fold(0, []),
-        }
+        Self::build(0, 0, 0, Vec::new(), Arc::default(), Vec::new())
     }
 
-    /// Builds a snapshot from an id-ascending cell sweep, folding the
-    /// aggregates in that canonical order.
+    /// Builds a snapshot from id-ascending cells and their id and
+    /// best-estimate SoC columns, folding the aggregates in that canonical
+    /// order.
     pub(crate) fn build(
         tick: u64,
         registered: usize,
         live_engines: usize,
         cells: Vec<(CellId, EstimateBreakdown)>,
+        ids: Arc<[CellId]>,
+        socs: Vec<f64>,
     ) -> Self {
         debug_assert!(
-            cells.windows(2).all(|w| w[0].0 < w[1].0),
+            ids.windows(2).all(|w| w[0] < w[1]),
             "snapshot cells must be strictly id-ascending"
         );
-        let stats = FleetStats::fold(registered, cells.iter().map(|(_, b)| b.best.0));
+        debug_assert!(
+            cells.len() == ids.len()
+                && cells.len() == socs.len()
+                && cells
+                    .iter()
+                    .zip(ids.iter().zip(&socs))
+                    .all(|((id, b), (i, soc))| { id == i && b.best.0.to_bits() == soc.to_bits() }),
+            "the id and SoC columns must mirror the cells"
+        );
+        let stats = FleetStats::fold(registered, socs.iter().copied());
         ServeSnapshot {
             tick,
             registered,
             live_engines,
             cells,
+            ids,
+            socs,
             stats,
         }
     }
@@ -92,10 +108,10 @@ impl ServeSnapshot {
 
     /// One cell's full per-estimator breakdown, by binary search.
     pub fn breakdown(&self, id: CellId) -> Option<&EstimateBreakdown> {
-        self.cells
-            .binary_search_by_key(&id, |(id, _)| *id)
+        self.ids
+            .binary_search(&id)
             .ok()
-            .map(|idx| &self.cells[idx].1)
+            .map(|rank| &self.cells[rank].1)
     }
 
     /// Histogram of best-estimate SoC over the whole tier, binned by
@@ -106,16 +122,17 @@ impl ServeSnapshot {
     ///
     /// Panics if `bins` is zero.
     pub fn soc_histogram(&self, bins: usize) -> Vec<usize> {
-        pinnsoc_fleet::soc_histogram(self.cells.iter().map(|(_, b)| b.best.0), bins)
+        pinnsoc_fleet::soc_histogram(self.socs.iter().copied(), bins)
     }
 
     /// Ids of reporting cells whose best estimate is below `threshold`,
-    /// ascending (already sorted — the sweep is in id order).
+    /// ascending (already sorted — the cells are in id order).
     pub fn cells_below(&self, threshold: f64) -> Vec<CellId> {
-        self.cells
+        self.ids
             .iter()
-            .filter(|(_, b)| b.best.0 < threshold)
-            .map(|(id, _)| *id)
+            .zip(&self.socs)
+            .filter(|(_, &soc)| soc < threshold)
+            .map(|(&id, _)| id)
             .collect()
     }
 }
@@ -179,9 +196,19 @@ mod tests {
         )
     }
 
+    fn build(
+        tick: u64,
+        registered: usize,
+        cells: Vec<(CellId, EstimateBreakdown)>,
+    ) -> ServeSnapshot {
+        let ids = cells.iter().map(|(id, _)| *id).collect();
+        let socs = cells.iter().map(|(_, b)| b.best.0).collect();
+        ServeSnapshot::build(tick, registered, 1, cells, ids, socs)
+    }
+
     #[test]
     fn build_aggregates_in_id_order() {
-        let snap = ServeSnapshot::build(3, 5, 2, vec![cell(1, 0.8), cell(4, 0.5), cell(9, 0.2)]);
+        let snap = build(3, 5, vec![cell(1, 0.8), cell(4, 0.5), cell(9, 0.2)]);
         let stats = snap.stats();
         assert_eq!(stats.cells, 5);
         assert_eq!(stats.reporting, 3);
@@ -214,7 +241,7 @@ mod tests {
         };
         let pinned = reader.snapshot();
         assert_eq!(pinned.tick, 0);
-        let prev = slot.publish(Arc::new(ServeSnapshot::build(1, 0, 1, Vec::new())));
+        let prev = slot.publish(Arc::new(build(1, 0, Vec::new())));
         assert_eq!(prev.tick, 0);
         // The pinned snapshot stays valid after the swap...
         assert_eq!(pinned.tick, 0);

@@ -10,7 +10,11 @@
 //! tick():  pop ≤ capacity frames ──▶ batch ──▶ engine.ingest_batch ──▶ process_pending
 //!          (per lane, reused buffer)       (resolve every slot, then absorb)
 //!                                        │
-//!          for_each_breakdown sweep ──▶ id directory ──▶ ServeSnapshot ──▶ publish
+//!          membership_epoch per lane ──▶ same as last publish?
+//!             yes: for_each_changed ──▶ rank bitmap ──▶ patch reclaimed buffer ─┐
+//!             no:  reporting sweep ──▶ sort by id ──▶ new ranks, read all ──────┤
+//!                                                                               ▼
+//!                                   ServeSnapshot (cells + id/SoC columns) ──▶ publish
 //!                                        │
 //! readers ──SnapshotReader::snapshot──▶ Arc clone, query off-lock
 //! ```
@@ -29,10 +33,12 @@
 //! absorb. Plain and durable lanes share this one drain path; a durable
 //! lane logs the batch's reports to its WAL first.
 //!
-//! The sweep lands in id order without a per-tick sort: the id directory
-//! (see the `directory` module) remembers each swept cell's rank while the
-//! swept id sequence stays the same, and re-sorts only on the tick where
-//! it changes.
+//! Publishing costs what changed, not what exists: the id directory (see
+//! the `directory` module) remembers each cell's rank in id order while
+//! no lane's membership epoch moves, and patches only the ranks whose
+//! cells this tick's passes (and the previous tick's) estimated into the
+//! buffer it reclaims. It sweeps and sorts only on the tick membership
+//! changes.
 
 use crate::directory::IdDirectory;
 use crate::health::{HealthBoard, LaneHealth, ServeSlo, SloConfig, SloReport, SloSummary};
@@ -196,6 +202,8 @@ struct ServeObs {
     backpressure_total: MetricId,
     skipped_lane_ticks_total: MetricId,
     snapshot_cells: MetricId,
+    snapshot_rebuilds_total: MetricId,
+    snapshot_changed_cells: MetricId,
     latency_seconds: MetricId,
     last_backpressure: u64,
 }
@@ -221,6 +229,14 @@ impl ServeObs {
                 "pinnsoc_serve_snapshot_cells",
                 "Reporting cells in the latest published snapshot",
             ),
+            snapshot_rebuilds_total: registry.counter(
+                "pinnsoc_serve_snapshot_rebuilds_total",
+                "Publishes that re-ranked every cell after a membership change",
+            ),
+            snapshot_changed_cells: registry.gauge(
+                "pinnsoc_serve_snapshot_changed_cells",
+                "Ranks the latest publish read from the engines",
+            ),
             latency_seconds: registry.histogram(
                 "pinnsoc_serve_ingest_latency_seconds",
                 "Producer enqueue to snapshot publish, per frame",
@@ -232,8 +248,10 @@ impl ServeObs {
         }
     }
 
-    fn record(&mut self, report: &TickReport) {
+    fn record(&mut self, report: &TickReport, rebuilt: bool, changed_cells: usize) {
         let registry = self.hub.registry();
+        registry.add(self.snapshot_rebuilds_total, u64::from(rebuilt));
+        registry.set(self.snapshot_changed_cells, changed_cells as f64);
         registry.add(self.ingest_total, report.drained as u64);
         let backpressure_delta = report.backpressure_total - self.last_backpressure;
         self.last_backpressure = report.backpressure_total;
@@ -318,8 +336,14 @@ pub struct ServeTier {
     /// The snapshot the last publish displaced (double-buffering: its
     /// cell buffer is reclaimed next tick unless a reader still pins it).
     displaced: Option<Arc<ServeSnapshot>>,
-    /// Sweep position → rank in id order, reused while membership holds.
+    /// Engine position ↔ rank in id order, reused while membership holds.
     directory: IdDirectory,
+    /// Whether the directory and the published snapshot account for every
+    /// change the engines reported: false before the first publish, after
+    /// a lane recovers (a new engine, whose epoch counts afresh), and from
+    /// a tick's first pass until its publish, so a tick that fails in
+    /// between makes the next one rebuild.
+    synced: bool,
     tick: u64,
     config: ServeConfig,
     obs: Option<ServeObs>,
@@ -374,6 +398,7 @@ impl ServeTier {
             slot: SnapshotSlot::new(),
             displaced: None,
             directory: IdDirectory::default(),
+            synced: false,
             tick: 0,
             config,
             obs: None,
@@ -403,7 +428,7 @@ impl ServeTier {
     /// (process `i + 1`). A live lane's span holds a `drain` span (ring
     /// pops), an `ingest` span (the engine's batched absorb, WAL appends
     /// included) and the engine's own `engine_tick` → `pass` → stage tree.
-    /// A `publish` span covers the snapshot sweep. A lane recovered by
+    /// A `publish` span covers building the snapshot. A lane recovered by
     /// [`Self::recover_engine`] re-attaches automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
@@ -594,6 +619,7 @@ impl ServeTier {
             Some(tracer) if tracing => tracer.sink.open(),
             _ => 0,
         };
+        let synced = std::mem::replace(&mut self.synced, false);
         let mut drained_at = std::mem::take(&mut self.drained_at);
         drained_at.clear();
         let mut integrated = 0usize;
@@ -658,34 +684,39 @@ impl ServeTier {
             }
         }
 
-        // Snapshot sweep: every live engine's reporting cells, placed in
-        // id order by the directory (sorting only when membership changed;
-        // see the `directory` module docs).
+        // Every live engine's reporting cells, placed in id order by the
+        // directory: patching the changed ranks, or re-ranking after a
+        // membership change (see the `directory` module docs).
         let publish_start = tracing.then(Instant::now);
         // A reader that pinned the displaced snapshot has had a whole tick
         // to let go; only if it still holds on does this tick allocate.
-        let mut cells = self
+        let reclaimed = self
             .displaced
             .take()
-            .and_then(|previous| Arc::try_unwrap(previous).ok())
-            .map(|previous| previous.cells)
-            .unwrap_or_default();
-        let engines = || self.lanes.iter().filter_map(|lane| lane.backend.engine());
+            .and_then(|previous| Arc::try_unwrap(previous).ok());
+        let lanes = &self.lanes;
+        let engines = || lanes.iter().filter_map(|lane| lane.backend.engine());
         let registered: usize = engines().map(FleetEngine::len).sum();
         let live_engines = engines().count();
-        let mut placement = self.directory.placement(&mut cells, registered);
-        for engine in engines() {
-            engine.for_each_breakdown(|id, breakdown| placement.place(id, breakdown));
-        }
-        placement.finish();
+        let current = self.slot.load();
+        let placed = self.directory.place(
+            lanes.len(),
+            |lane| lanes[lane].backend.engine(),
+            &current,
+            reclaimed,
+            !synced,
+        );
         let snapshot = Arc::new(ServeSnapshot::build(
             self.tick,
             registered,
             live_engines,
-            cells,
+            placed.cells,
+            placed.ids,
+            placed.socs,
         ));
         let snapshot_cells = snapshot.cells.len();
         self.displaced = Some(self.slot.publish(snapshot));
+        self.synced = true;
 
         let published = Instant::now();
         if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), publish_start) {
@@ -712,7 +743,7 @@ impl ServeTier {
             latencies_s,
         };
         if let Some(obs) = &mut self.obs {
-            obs.record(&report);
+            obs.record(&report, placed.rebuilt, placed.read);
         }
         if let Some(slo) = self.slo.as_mut() {
             let threshold = slo.config.latency_threshold_s;
@@ -825,6 +856,7 @@ impl ServeTier {
                 .attach_tracer(&tracer.recorder, engine as u32 + 1);
         }
         self.lanes[engine].backend = Backend::Durable(Box::new(fleet));
+        self.synced = false;
         if let Some(board) = &self.health {
             board.set_lane_up(engine, true);
         }

@@ -159,6 +159,8 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
         "pinnsoc_serve_ingest_total",
         "pinnsoc_serve_backpressure_total",
         "pinnsoc_serve_snapshot_cells",
+        "pinnsoc_serve_snapshot_rebuilds_total",
+        "pinnsoc_serve_snapshot_changed_cells",
         "pinnsoc_serve_ingest_latency_seconds_bucket",
         "pinnsoc_serve_slo_state",
         "pinnsoc_serve_slo_fast_burn",

@@ -1,26 +1,36 @@
-//! Seeded search over the snapshot id directory's invalidation paths.
+//! Seeded search over the snapshot id directory: delta publish against a
+//! full rebuild.
 //!
-//! A steady tick places each swept cell at a rank the tier remembered
-//! from an earlier tick; only a change in the swept id sequence makes it
-//! sort again. This test drives two durable tiers at different topologies
-//! through random interleavings of everything that can change that
-//! sequence — register, deregister, a cell's first report, NaN-only
-//! reports, unknown ids, lane crash and recovery — plus readers pinning
-//! the previous snapshot (which forces a fresh buffer) and plain ticks.
-//! After every tick the published snapshot must be bit-identical to a
-//! sweep-and-sort build from the live engines, and, whenever every lane
-//! of both tiers is up, identical across the two topologies.
+//! A steady tick patches only the ranks whose cells the engines changed
+//! (this tick's into the buffer reclaimed from two ticks ago, plus last
+//! tick's); only a membership change makes the tier rank every cell
+//! again. This test drives two durable tiers at different topologies
+//! through random interleavings of everything that can change membership
+//! or a cell's estimate — register, deregister, a cell's first report,
+//! valid, duplicate-stamp, time-reversed and NaN reports, unknown ids, hot
+//! model swaps, lane crash and recovery — plus readers pinning snapshots
+//! (until released, or for a fixed number of ticks; a pinned reclaim
+//! forces a patched copy), plain ticks and ticks with empty rings. Ids
+//! span more than 64 ranks, so rank bitmaps run over several words.
+//! After every tick the published snapshot, its aggregates, histograms and
+//! threshold scans must be bit-identical to a sweep-and-sort build from
+//! the live engines, and, whenever every lane of both tiers is up,
+//! identical across the two topologies. A held snapshot never changes.
 
-use pinnsoc_fleet::testing::untrained_model;
+use pinnsoc_fleet::testing::{untrained_model, untrained_model_seeded};
 use pinnsoc_fleet::{CellConfig, CellId, EstimateBreakdown, FleetConfig, SocEstimate, Telemetry};
-use pinnsoc_serve::{DurabilitySpec, ServeConfig, ServeSnapshot, ServeTier};
+use pinnsoc_obs::ObsHub;
+use pinnsoc_serve::{DurabilitySpec, IngestHandle, ServeConfig, ServeSnapshot, ServeTier};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Ids drawn by the generator; about half are registered at any time.
-const ID_SPACE: u64 = 48;
+const ID_SPACE: u64 = 160;
 const SEEDS: u64 = 8;
-const STEPS: usize = 160;
+const STEPS: usize = 240;
+/// Bin counts and thresholds every snapshot is queried with.
+const BINS: [usize; 3] = [1, 7, 32];
+const THRESHOLDS: [f64; 4] = [0.0, 0.3, 0.55, 1.0];
 
 /// splitmix64: the seeded op stream.
 struct Stream(u64);
@@ -62,13 +72,15 @@ fn bits(b: &EstimateBreakdown) -> Bits {
     )
 }
 
-/// A snapshot's cells and aggregates, bit-exact.
+/// A snapshot's cells, aggregates and query answers, bit-exact.
 #[derive(Debug, PartialEq)]
 struct Published {
     cells: Vec<(CellId, Bits)>,
     registered: usize,
     reporting: usize,
     mean_min_max: [u64; 3],
+    histograms: Vec<Vec<usize>>,
+    below: Vec<Vec<CellId>>,
 }
 
 fn published(snapshot: &ServeSnapshot) -> Published {
@@ -87,6 +99,11 @@ fn published(snapshot: &ServeSnapshot) -> Published {
             stats.min_soc.to_bits(),
             stats.max_soc.to_bits(),
         ],
+        histograms: BINS.iter().map(|&k| snapshot.soc_histogram(k)).collect(),
+        below: THRESHOLDS
+            .iter()
+            .map(|&t| snapshot.cells_below(t))
+            .collect(),
     }
 }
 
@@ -117,11 +134,28 @@ fn sweep_and_sort(tier: &ServeTier) -> Published {
             max.to_bits(),
         ]
     };
+    // Equal buckets over [0, 1], the last one closed.
+    let histogram = |bins: usize| {
+        let mut counts = vec![0; bins];
+        for (_, b) in &cells {
+            counts[((b.best.0 * bins as f64) as usize).min(bins - 1)] += 1;
+        }
+        counts
+    };
+    let below = |threshold: f64| {
+        cells
+            .iter()
+            .filter(|(_, b)| b.best.0 < threshold)
+            .map(|(id, _)| *id)
+            .collect()
+    };
     Published {
         cells: cells.iter().map(|(id, b)| (*id, bits(b))).collect(),
         registered,
         reporting: cells.len(),
         mean_min_max,
+        histograms: BINS.iter().map(|&k| histogram(k)).collect(),
+        below: THRESHOLDS.iter().map(|&t| below(t)).collect(),
     }
 }
 
@@ -161,6 +195,35 @@ fn any_down(tier: &ServeTier) -> bool {
     (0..tier.engines()).any(|e| tier.is_down(e))
 }
 
+/// Ticks both tiers and checks what they published.
+fn tick_and_check(tiers: &mut [ServeTier; 2], context: &str) {
+    for tier in tiers.iter_mut() {
+        tier.tick().expect("durable tick");
+    }
+    let snapshots = [tiers[0].reader().snapshot(), tiers[1].reader().snapshot()];
+    for (tier, snapshot) in tiers.iter().zip(&snapshots) {
+        assert_eq!(
+            published(snapshot),
+            sweep_and_sort(tier),
+            "{context}: snapshot differs from a sweep-and-sort build"
+        );
+    }
+    if !tiers.iter().any(any_down) {
+        assert_eq!(
+            published(&snapshots[0]),
+            published(&snapshots[1]),
+            "{context}: topologies diverged"
+        );
+    }
+}
+
+/// Sends one frame for `id` to both tiers.
+fn send(handles: &[IngestHandle; 2], id: CellId, frame: Telemetry) {
+    for handle in handles {
+        assert!(handle.ingest(id, frame).enqueued());
+    }
+}
+
 fn run_seed(seed: u64) {
     let base = std::env::temp_dir().join(format!(
         "pinnsoc-serve-directory-{seed}-{}",
@@ -170,11 +233,16 @@ fn run_seed(seed: u64) {
         durable_tier(base.join("a"), 3, 2, 1),
         durable_tier(base.join("b"), 2, 3, 2),
     ];
+    let hub = ObsHub::new();
+    tiers[0].attach_obs(&hub);
     let handles = [tiers[0].handle(), tiers[1].handle()];
     let mut rng = Stream(seed);
-    // Per-cell report clock, so accepted reports never go back in time.
+    // Per-cell report clock, so valid reports never go back in time.
     let mut clock = [0u64; ID_SPACE as usize];
     let mut pinned: Vec<Arc<ServeSnapshot>> = Vec::new();
+    // Snapshots held for a fixed number of ticks: (ticks left, snapshot,
+    // its contents when pinned).
+    let mut held: Vec<(u64, Arc<ServeSnapshot>, Published)> = Vec::new();
     let mut ticks = 0;
     // A crash loses what the lane has not committed, and a recovered lane
     // drains its outage backlog at the next tick: membership changes only
@@ -183,11 +251,17 @@ fn run_seed(seed: u64) {
     // keeps both topologies on the same cells.
     let mut membership_changed = false;
     let mut draining = false;
+    // A recovered lane serves the model of its last durable snapshot, so
+    // lanes crash only once every lane has snapshotted since the last hot
+    // swap (lanes snapshot every 3 committed ticks).
+    let mut ticks_since_swap = u64::MAX;
 
     for step in 0..STEPS {
         let id = rng.below(ID_SPACE);
         let quiet = !draining && !tiers.iter().any(any_down);
-        match rng.below(20) {
+        let context = format!("seed {seed} step {step}");
+        // Each op runs, then says how many ticks follow it.
+        let run_ticks = match rng.below(26) {
             0..=2 if quiet => {
                 membership_changed = true;
                 let config = CellConfig {
@@ -196,11 +270,13 @@ fn run_seed(seed: u64) {
                 };
                 let added = tiers[0].register(id, config.clone());
                 assert_eq!(tiers[1].register(id, config), added, "step {step}");
+                0
             }
             3 if quiet => {
                 membership_changed = true;
                 let removed = tiers[0].deregister(id);
                 assert_eq!(tiers[1].deregister(id), removed, "step {step}");
+                0
             }
             // Valid reports: a registered cell's first report joins the
             // snapshot; an unregistered id is counted unknown.
@@ -208,11 +284,9 @@ fn run_seed(seed: u64) {
                 for _ in 0..1 + rng.below(6) {
                     let id = rng.below(ID_SPACE);
                     clock[id as usize] += 1;
-                    let frame = report(clock[id as usize] as f64 * 10.0, id);
-                    for handle in &handles {
-                        assert!(handle.ingest(id, frame).enqueued());
-                    }
+                    send(&handles, id, report(clock[id as usize] as f64 * 10.0, id));
                 }
+                0
             }
             // A NaN report never makes a cell report.
             10 => {
@@ -221,25 +295,23 @@ fn run_seed(seed: u64) {
                     voltage_v: f64::NAN,
                     ..report(clock[id as usize] as f64 * 10.0, id)
                 };
-                for handle in &handles {
-                    assert!(handle.ingest(id, frame).enqueued());
-                }
+                send(&handles, id, frame);
+                0
             }
             // Ids no engine will ever know.
             11 => {
-                let frame = report(1.0, ID_SPACE + id);
-                for handle in &handles {
-                    assert!(handle.ingest(ID_SPACE + id, frame).enqueued());
-                }
+                send(&handles, ID_SPACE + id, report(1.0, ID_SPACE + id));
+                0
             }
             // Crash one live lane per tier, or recover every down lane.
-            12 if !membership_changed => {
+            12 if !membership_changed && ticks_since_swap > 3 => {
                 for tier in &mut tiers {
                     let lane = rng.below(tier.engines() as u64) as usize;
                     if !tier.is_down(lane) {
                         tier.crash_engine(lane);
                     }
                 }
+                0
             }
             13 => {
                 for tier in &mut tiers {
@@ -250,6 +322,7 @@ fn run_seed(seed: u64) {
                         }
                     }
                 }
+                0
             }
             // Pin the current snapshots across the next tick(s), or let
             // the readers go.
@@ -257,34 +330,84 @@ fn run_seed(seed: u64) {
                 for tier in &tiers {
                     pinned.push(tier.reader().snapshot());
                 }
+                0
             }
-            15 => pinned.clear(),
-            _ => {
-                ticks += 1;
-                membership_changed = false;
-                draining = false;
-                for tier in &mut tiers {
-                    tier.tick().expect("durable tick");
-                }
-                let snapshots = [tiers[0].reader().snapshot(), tiers[1].reader().snapshot()];
-                for (tier, snapshot) in tiers.iter().zip(&snapshots) {
-                    assert_eq!(
-                        published(snapshot),
-                        sweep_and_sort(tier),
-                        "seed {seed} step {step}: snapshot differs from a sweep-and-sort build"
-                    );
-                }
-                if !tiers.iter().any(any_down) {
-                    assert_eq!(
-                        published(&snapshots[0]),
-                        published(&snapshots[1]),
-                        "seed {seed} step {step}: topologies diverged"
-                    );
-                }
+            15 => {
+                pinned.clear();
+                0
             }
+            // The last valid stamp again, with new readings: a duplicate
+            // timestamp (folded in and re-estimated), or a first report.
+            16 => {
+                let frame = Telemetry {
+                    voltage_v: 3.9,
+                    ..report(clock[id as usize] as f64 * 10.0, id)
+                };
+                send(&handles, id, frame);
+                0
+            }
+            // Older than the last valid stamp: rejected once the cell has
+            // reported.
+            17 => {
+                send(
+                    &handles,
+                    id,
+                    report(clock[id as usize] as f64 * 10.0 - 5.0, id),
+                );
+                0
+            }
+            // Hot swap on every live lane of both tiers.
+            18 if quiet => {
+                let model = untrained_model_seeded(seed * 1000 + step as u64);
+                for tier in &tiers {
+                    for lane in 0..tier.engines() {
+                        let engine = tier.engine(lane).expect("quiet: every lane is up");
+                        engine.registry().swap(model.clone());
+                    }
+                }
+                ticks_since_swap = 0;
+                0
+            }
+            // Hold the current snapshots for two to four ticks.
+            19 => {
+                let ticks = 2 + rng.below(3);
+                for tier in &tiers {
+                    let snapshot = tier.reader().snapshot();
+                    let contents = published(&snapshot);
+                    held.push((ticks, snapshot, contents));
+                }
+                0
+            }
+            // A tick, then one with every ring empty.
+            20 => 2,
+            _ => 1,
+        };
+        for _ in 0..run_ticks {
+            ticks += 1;
+            ticks_since_swap = ticks_since_swap.saturating_add(1);
+            membership_changed = false;
+            draining = false;
+            tick_and_check(&mut tiers, &context);
+            held.retain_mut(|(left, snapshot, contents)| {
+                assert_eq!(
+                    &published(snapshot),
+                    contents,
+                    "{context}: a held snapshot changed"
+                );
+                *left -= 1;
+                *left > 0
+            });
         }
     }
-    assert!(ticks > 0);
+    // Both publish paths ran: patches between the rebuilds.
+    let rebuilds = hub
+        .snapshot()
+        .metrics
+        .counter_total("pinnsoc_serve_snapshot_rebuilds_total");
+    assert!(
+        0 < rebuilds && rebuilds < ticks,
+        "seed {seed}: {rebuilds} rebuilds in {ticks} ticks"
+    );
     drop(tiers);
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -4,6 +4,7 @@
 
 use pinnsoc_fleet::testing::untrained_model;
 use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, Telemetry};
+use pinnsoc_obs::{ObsHub, SampleValue};
 use pinnsoc_serve::{IngestOutcome, ServeConfig, ServeTier};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -339,4 +340,51 @@ fn register_deregister_route_consistently() {
             .count();
         assert_eq!(owners, usize::from(id != 7), "cell {id} owner count");
     }
+}
+
+/// Delta publish: once every cell has reported, steady ticks patch the
+/// cells that changed without re-ranking any, and one membership change
+/// re-ranks them exactly once.
+#[test]
+fn steady_ticks_patch_and_one_register_rebuilds_once() {
+    let mut tier = tier(3, 2, 0);
+    let hub = ObsHub::new();
+    tier.attach_obs(&hub);
+    let handle = tier.handle();
+    let metrics = || hub.snapshot().metrics;
+    let rebuilds = || metrics().counter_total("pinnsoc_serve_snapshot_rebuilds_total");
+    let changed_cells = || match metrics()
+        .find("pinnsoc_serve_snapshot_changed_cells", &[])
+        .map(|m| &m.value)
+    {
+        Some(SampleValue::Gauge(cells)) => *cells,
+        other => panic!("changed-cells gauge: {other:?}"),
+    };
+    // Warm-up: every cell's first report is a membership event.
+    for id in 0..CELLS {
+        assert!(handle.ingest(id, feed(1, id)).enqueued());
+    }
+    tier.tick().expect("plain tick");
+    let warm = rebuilds();
+    assert!(warm >= 1);
+    assert_eq!(changed_cells(), CELLS as f64);
+    // Steady ticks: every cell, every third cell, then none.
+    let every_third: Vec<u64> = (0..CELLS).step_by(3).collect();
+    for (tick, ids) in [(2, (0..CELLS).collect()), (3, every_third), (4, Vec::new())] {
+        for &id in &ids {
+            assert!(handle.ingest(id, feed(tick, id)).enqueued());
+        }
+        tier.tick().expect("plain tick");
+        assert_eq!(changed_cells(), ids.len() as f64, "tick {tick}");
+    }
+    assert_eq!(rebuilds(), warm, "steady ticks re-ranked the cells");
+    let config = CellConfig {
+        initial_soc: 0.5,
+        capacity_ah: 2.0,
+    };
+    assert!(tier.register(CELLS, config));
+    tier.tick().expect("plain tick");
+    assert_eq!(rebuilds(), warm + 1, "a register re-ranks once");
+    tier.tick().expect("plain tick");
+    assert_eq!(rebuilds(), warm + 1);
 }
