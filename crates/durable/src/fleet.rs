@@ -127,10 +127,10 @@ pub struct DurableFleet {
     ticks_since_snapshot: u64,
     /// Latest extension blobs, embedded into every subsequent snapshot.
     extensions: Vec<(String, Vec<u8>)>,
-    /// Wall time of the boundary flush inside the latest
+    /// Start and end of the boundary flush inside the latest
     /// [`Self::process_pending`] — the encode + checksum + write cost the
     /// group-commit design keeps out of the ingest/process hot path.
-    last_flush_seconds: f64,
+    last_flush: Option<(Instant, Instant)>,
     obs: Option<DurableObs>,
 }
 
@@ -166,7 +166,7 @@ impl DurableFleet {
             tick: 0,
             ticks_since_snapshot: 0,
             extensions: Vec::new(),
-            last_flush_seconds: 0.0,
+            last_flush: None,
             obs: None,
         };
         fleet.snapshot_now()?;
@@ -217,7 +217,15 @@ impl DurableFleet {
     /// budget should be measured against (`durable_baseline` does exactly
     /// that).
     pub fn last_flush_seconds(&self) -> f64 {
-        self.last_flush_seconds
+        self.last_flush
+            .map_or(0.0, |(start, end)| (end - start).as_secs_f64())
+    }
+
+    /// Start and end instants of the WAL flush inside the most recent
+    /// [`Self::process_pending`] (`None` before the first), for a caller
+    /// to place the flush on its own trace timeline.
+    pub fn last_flush_span(&self) -> Option<(Instant, Instant)> {
+        self.last_flush
     }
 
     /// Registers a cell, logging it. Returns `false` (and logs nothing)
@@ -284,13 +292,13 @@ impl DurableFleet {
             .expect(FIXED_WIDTH_OP);
         let flush_start = Instant::now();
         let flushed = self.wal.flush()?;
-        self.last_flush_seconds = flush_start.elapsed().as_secs_f64();
+        self.last_flush = Some((flush_start, Instant::now()));
         if let Some(obs) = self.obs.as_ref() {
             let registry = obs.hub.registry();
             registry.add(obs.records, flushed.records);
             registry.add(obs.bytes, flushed.bytes);
             registry.add(obs.commits, 1);
-            registry.observe(obs.flush_seconds, self.last_flush_seconds);
+            registry.observe(obs.flush_seconds, self.last_flush_seconds());
             registry.set(obs.segment_bytes, self.wal.segment_bytes() as f64);
             registry.set(obs.tick, self.tick as f64);
         }
@@ -539,7 +547,7 @@ pub fn recover(
         tick: report.tick,
         ticks_since_snapshot: 0,
         extensions,
-        last_flush_seconds: 0.0,
+        last_flush: None,
         obs: None,
     };
     fleet.snapshot_now()?;

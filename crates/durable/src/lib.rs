@@ -8,12 +8,13 @@
 //!
 //! Design rules:
 //!
-//! - **Reader corruption-tolerant by construction.** Every WAL record
-//!   carries its own CRC-32 behind a length prefix; the reader truncates
-//!   at the first bad record (torn writes look like truncation), and the
-//!   snapshot is one CRC-protected blob written via temp-file + rename.
-//!   No input — truncated, bit-flipped, adversarial — makes the readers
-//!   panic or yield a corrupt record.
+//! - **Reader corruption-tolerant by construction.** Every WAL frame —
+//!   one record, or a batch of one tick's reports — carries its own
+//!   CRC-32 behind a length prefix; the reader truncates at the first bad
+//!   frame (torn writes look like truncation), and the snapshot is one
+//!   CRC-protected blob written via temp-file + rename. No input —
+//!   truncated, bit-flipped, adversarial — makes the readers panic or
+//!   yield a corrupt record.
 //! - **Writer off the tick hot path.** Appends buffer in memory; file
 //!   I/O happens once per tick at [`DurableFleet::process_pending`], with
 //!   rotation and snapshot-triggered truncation folded into the same
@@ -26,7 +27,8 @@
 //!   corruption at recovery and silently truncate every committed record
 //!   behind it. Only variable-width extension blobs
 //!   ([`DurableFleet::set_extension`]) can hit the cap; the fixed-width
-//!   ops are all under 64 bytes.
+//!   ops are all under 64 bytes, and report batches split at
+//!   [`MAX_BATCH_REPORTS`].
 //! - **Recovery is a tick boundary.** Replay applies records only up to
 //!   the last valid commit, so recovered state is a state the
 //!   uninterrupted engine also passed through — the basis of the
@@ -44,7 +46,8 @@
 //! # std::io::Result::Ok(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod codec;
@@ -63,6 +66,7 @@ pub use snapshot::{
     SNAPSHOT_FILE, SNAPSHOT_MAGIC,
 };
 pub use wal::{
-    encode_record, read_segment, read_wal_dir, FlushStats, OversizedRecord, SegmentRead, WalOp,
-    WalRecord, WalScan, WalWriter, MAX_RECORD_BYTES, WAL_MAGIC,
+    encode_record, encode_records, read_segment, read_wal_dir, FlushStats, OversizedRecord,
+    SegmentRead, WalOp, WalRecord, WalScan, WalWriter, MAX_BATCH_REPORTS, MAX_RECORD_BYTES,
+    WAL_MAGIC,
 };

@@ -1,24 +1,45 @@
-//! The write-ahead log: checksummed, length-prefixed records in rotating
+//! The write-ahead log: checksummed, length-prefixed frames in rotating
 //! segment files.
 //!
-//! ## On-disk format
+//! ## On-disk format (version 2)
 //!
 //! Each segment file `wal-<n>.log` starts with the 8-byte magic
-//! `PSOCWAL1`, followed by records:
+//! `PSOCWAL2`, followed by frames:
 //!
 //! ```text
 //! [len: u32][crc: u32][payload: len bytes]
-//! payload = [op: u8][seq: u64][body…]
+//! payload = [op: u8][seq: u64][body…]               one record
+//!         | [6: u8][first_seq: u64][count: u32]     a report batch
+//!           [report body: 40 bytes] × count
+//! report body = [id: u64][time_s][voltage_v][current_a][temperature_c]
+//!               (each f64 as its little-endian bits)
 //! ```
 //!
 //! `crc` is the CRC-32 of the payload. `seq` is a monotonic record counter
-//! spanning segments and restarts. The reader is corruption-tolerant by
-//! construction: a record whose length overruns the file, whose CRC
-//! mismatches, whose op byte is unknown, or whose body is the wrong width
-//! ends the log right there — **truncate at first bad record** — and the
-//! valid prefix before it is returned untouched. A torn tail write (the
-//! only corruption a crash can produce under buffered appends) therefore
-//! costs exactly the uncommitted tail.
+//! spanning segments and restarts. A **report batch** carries `count`
+//! reports under one frame and one CRC, row-major: each 40-byte body is
+//! exactly a single `Report` body. The batch's reports keep their own
+//! sequence numbers, `first_seq + k` for the `k`-th, so the reader
+//! expands a batch into the same [`WalRecord`]s one frame per report
+//! would give, and replay's duplicate filter, the snapshot's `last_seq`
+//! horizon and the dropped-record count see no difference.
+//!
+//! [`WalWriter::flush`] coalesces every run of consecutive reports into
+//! batches of at most [`MAX_BATCH_REPORTS`] (so a payload never exceeds
+//! [`MAX_RECORD_BYTES`]) and frames every other op on its own. Version-1
+//! segments (`PSOCWAL1`, one frame per report) still read; the writer
+//! never produces them.
+//!
+//! The reader is corruption-tolerant by construction: a frame whose
+//! length overruns the file, whose CRC mismatches, whose op byte is
+//! unknown, or whose body is the wrong width ends the log right there —
+//! **truncate at first bad frame** — and the valid prefix before it is
+//! returned untouched. A batch is strict on top of that: `count ≥ 1`, a
+//! body of exactly `count × 40` bytes, and a seq range
+//! `first_seq ..= first_seq + count − 1` that does not overflow; any
+//! violation drops the whole batch, never a part of it. A torn tail write
+//! (the only corruption a crash can produce under buffered appends)
+//! therefore costs exactly the uncommitted tail.
 //!
 //! Replay semantics live one level up (see [`crate::recover`]): only
 //! records up to the last valid [`WalOp::Commit`] are applied, so a tick's
@@ -31,8 +52,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every WAL segment (format version in the suffix).
-pub const WAL_MAGIC: &[u8; 8] = b"PSOCWAL1";
+/// Magic bytes opening every WAL segment the writer creates (format
+/// version in the suffix).
+pub const WAL_MAGIC: &[u8; 8] = b"PSOCWAL2";
+
+/// Magic of version-1 segments: one frame per report, no batches. Read,
+/// never written.
+const WAL_MAGIC_V1: &[u8; 8] = b"PSOCWAL1";
 
 /// Upper bound on a record payload, enforced on **both** sides of the log.
 /// The reader refuses a larger length prefix so corruption cannot trigger
@@ -40,15 +66,29 @@ pub const WAL_MAGIC: &[u8; 8] = b"PSOCWAL1";
 /// with [`OversizedRecord`] *before* it is framed, because a record the
 /// writer frames but the reader refuses would read as corruption at
 /// recovery and silently truncate every committed record behind it.
-/// Fixed-width ops are under 64 bytes; only [`WalOp::Extension`] blobs can
-/// approach the cap.
+/// Fixed-width ops are under 64 bytes, and the writer splits report
+/// batches at [`MAX_BATCH_REPORTS`]; only [`WalOp::Extension`] blobs can
+/// exceed the cap.
 pub const MAX_RECORD_BYTES: u32 = 1 << 20;
+
+/// Width of one report body: id plus four `f64`s.
+const REPORT_BYTES: usize = 40;
+
+/// Batch payload bytes before the first report body: op, `first_seq`,
+/// `count`.
+const BATCH_HEADER_BYTES: usize = 1 + 8 + 4;
+
+/// Most reports one batch frame carries: the largest count whose payload
+/// fits in [`MAX_RECORD_BYTES`] (26,214).
+pub const MAX_BATCH_REPORTS: usize =
+    (MAX_RECORD_BYTES as usize - BATCH_HEADER_BYTES) / REPORT_BYTES;
 
 const OP_REGISTER: u8 = 1;
 const OP_DEREGISTER: u8 = 2;
 const OP_REPORT: u8 = 3;
 const OP_COMMIT: u8 = 4;
 const OP_EXTENSION: u8 = 5;
+const OP_REPORT_BATCH: u8 = 6;
 
 /// One logged fleet mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,13 +183,98 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-/// Appends one encoded record (`len`/`crc` framing included) to `out`.
-/// Encodes in place — payload first, frame backfilled — so bulk flushes
-/// allocate nothing per record.
+/// One report's 40-byte body, as both frame kinds carry it.
+fn report_body(id: CellId, telemetry: &Telemetry) -> [u8; REPORT_BYTES] {
+    let mut body = [0u8; REPORT_BYTES];
+    let fields = [
+        id,
+        telemetry.time_s.to_bits(),
+        telemetry.voltage_v.to_bits(),
+        telemetry.current_a.to_bits(),
+        telemetry.temperature_c.to_bits(),
+    ];
+    for (bytes, field) in body.chunks_exact_mut(8).zip(fields) {
+        bytes.copy_from_slice(&field.to_le_bytes());
+    }
+    body
+}
+
+fn decode_report(body: &[u8; REPORT_BYTES]) -> WalOp {
+    let field = |k: usize| u64::from_le_bytes(body[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+    WalOp::Report {
+        id: field(0),
+        telemetry: Telemetry {
+            time_s: f64::from_bits(field(1)),
+            voltage_v: f64::from_bits(field(2)),
+            current_a: f64::from_bits(field(3)),
+            temperature_c: f64::from_bits(field(4)),
+        },
+    }
+}
+
+/// Writes the `len`/`crc` frame header reserved at `out[frame_at..]` for
+/// the payload that follows it.
+fn backfill_frame(out: &mut [u8], frame_at: usize) {
+    let (frame, payload) = out[frame_at..].split_at_mut(8);
+    frame[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Appends `records` framed the way [`WalWriter::flush`] frames them:
+/// every run of reports with consecutive sequence numbers as report
+/// batches of at most [`MAX_BATCH_REPORTS`], every other op as its own
+/// frame ([`encode_record`]). [`read_segment`] yields `records` back.
+pub fn encode_records(out: &mut Vec<u8>, records: &[WalRecord]) {
+    let mut rest = records;
+    while let Some(first) = rest.first() {
+        if !matches!(first.op, WalOp::Report { .. }) {
+            encode_record(out, first);
+            rest = &rest[1..];
+            continue;
+        }
+        let limit = rest.len().min(MAX_BATCH_REPORTS);
+        let mut count = 1;
+        while count < limit
+            && matches!(rest[count].op, WalOp::Report { .. })
+            && first.seq.checked_add(count as u64) == Some(rest[count].seq)
+        {
+            count += 1;
+        }
+        let (run, tail) = rest.split_at(count);
+        encode_batch(out, run);
+        rest = tail;
+    }
+}
+
+/// Appends one report-batch frame for `run`: reports with consecutive
+/// sequence numbers, at most [`MAX_BATCH_REPORTS`] of them.
+fn encode_batch(out: &mut Vec<u8>, run: &[WalRecord]) {
+    let frame_at = out.len();
+    out.resize(
+        frame_at + 8 + BATCH_HEADER_BYTES + run.len() * REPORT_BYTES,
+        0,
+    );
+    let payload = &mut out[frame_at + 8..];
+    let (header, bodies) = payload.split_at_mut(BATCH_HEADER_BYTES);
+    header[0] = OP_REPORT_BATCH;
+    header[1..9].copy_from_slice(&run[0].seq.to_le_bytes());
+    header[9..].copy_from_slice(&(run.len() as u32).to_le_bytes());
+    for (body, record) in bodies.as_chunks_mut::<REPORT_BYTES>().0.iter_mut().zip(run) {
+        let WalOp::Report { id, telemetry } = &record.op else {
+            unreachable!("a batch run holds only reports");
+        };
+        *body = report_body(*id, telemetry);
+    }
+    backfill_frame(out, frame_at);
+}
+
+/// Appends one record as its own frame (`len`/`crc` framing included) to
+/// `out` — the version-1 framing, which [`encode_records`] still uses for
+/// every op but reports. Encodes in place — payload first, frame
+/// backfilled — so bulk flushes allocate nothing per record.
 pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     let frame_at = out.len();
     out.extend_from_slice(&[0u8; 8]); // len + crc, backfilled below
-    let payload_at = out.len();
     let mut enc = Enc(out);
     match &record.op {
         WalOp::Register {
@@ -171,11 +296,7 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
         WalOp::Report { id, telemetry } => {
             enc.u8(OP_REPORT);
             enc.u64(record.seq);
-            enc.u64(*id);
-            enc.f64(telemetry.time_s);
-            enc.f64(telemetry.voltage_v);
-            enc.f64(telemetry.current_a);
-            enc.f64(telemetry.temperature_c);
+            enc.0.extend_from_slice(&report_body(*id, telemetry));
         }
         WalOp::Commit { tick } => {
             enc.u8(OP_COMMIT);
@@ -189,16 +310,15 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
             enc.bytes(blob);
         }
     }
-    let len = (out.len() - payload_at) as u32;
-    let crc = crc32(&out[payload_at..]);
-    out[frame_at..frame_at + 4].copy_from_slice(&len.to_le_bytes());
-    out[frame_at + 4..frame_at + 8].copy_from_slice(&crc.to_le_bytes());
+    backfill_frame(out, frame_at);
 }
 
-/// Decodes one record payload (everything after the `len`/`crc` frame).
-/// `None` on an unknown op byte, a short body, or trailing bytes — strict
-/// by design, so a CRC collision on garbage still cannot yield a record.
-fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+/// Decodes one frame's payload (everything after the `len`/`crc` header)
+/// into `out`: one record, or a batch's `count`. `None` — with nothing
+/// pushed — on an unknown op byte, a short body, trailing bytes, or a
+/// batch breaking the strict rules in the [module docs](self), so a CRC
+/// collision on garbage still cannot yield a record.
+fn decode_payload(payload: &[u8], out: &mut Vec<WalRecord>) -> Option<()> {
     let mut dec = Dec::new(payload);
     let op = dec.u8()?;
     let seq = dec.u64()?;
@@ -209,42 +329,49 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
             capacity_ah: dec.f64()?,
         },
         OP_DEREGISTER => WalOp::Deregister { id: dec.u64()? },
-        OP_REPORT => WalOp::Report {
-            id: dec.u64()?,
-            telemetry: Telemetry {
-                time_s: dec.f64()?,
-                voltage_v: dec.f64()?,
-                current_a: dec.f64()?,
-                temperature_c: dec.f64()?,
-            },
-        },
+        OP_REPORT => decode_report(dec.raw(REPORT_BYTES)?.try_into().ok()?),
         OP_COMMIT => WalOp::Commit { tick: dec.u64()? },
         OP_EXTENSION => {
             let name = String::from_utf8(dec.bytes()?.to_vec()).ok()?;
             let blob = dec.bytes()?.to_vec();
             WalOp::Extension { name, blob }
         }
+        OP_REPORT_BATCH => {
+            let count = dec.u32()? as usize;
+            let (bodies, rest) = dec.raw(dec.remaining())?.as_chunks::<REPORT_BYTES>();
+            if count == 0 || bodies.len() != count || !rest.is_empty() {
+                return None;
+            }
+            seq.checked_add(count as u64 - 1)?;
+            out.extend(bodies.iter().enumerate().map(|(k, body)| WalRecord {
+                seq: seq + k as u64,
+                op: decode_report(body),
+            }));
+            return Some(());
+        }
         _ => return None,
     };
-    (dec.remaining() == 0).then_some(WalRecord { seq, op })
+    (dec.remaining() == 0).then(|| out.push(WalRecord { seq, op }))
 }
 
 /// What [`read_segment`] recovered from one segment's bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentRead {
-    /// The valid record prefix, in file order.
+    /// The records of the valid frame prefix, in file order (a batch
+    /// frame expanded into its reports).
     pub records: Vec<WalRecord>,
-    /// Bytes after the last valid record (torn tail, flipped bits, or a
+    /// Bytes after the last valid frame (torn tail, flipped bits, or a
     /// missing/corrupt header — in which case it is the whole file).
     pub truncated_bytes: u64,
 }
 
-/// Parses one segment's bytes — pure, total, and panic-free: any input
-/// yields the longest valid record prefix plus a count of the bytes it
-/// refused.
+/// Parses one segment's bytes, version 1 or 2 — pure, total, and
+/// panic-free: any input yields the records of the longest valid frame
+/// prefix plus a count of the bytes it refused.
 pub fn read_segment(bytes: &[u8]) -> SegmentRead {
     let mut records = Vec::new();
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let magic = bytes.get(..WAL_MAGIC.len());
+    if magic != Some(WAL_MAGIC) && magic != Some(WAL_MAGIC_V1) {
         return SegmentRead {
             records,
             truncated_bytes: bytes.len() as u64,
@@ -252,7 +379,7 @@ pub fn read_segment(bytes: &[u8]) -> SegmentRead {
     }
     let mut dec = Dec::new(&bytes[WAL_MAGIC.len()..]);
     while dec.remaining() > 0 {
-        // Parse on a cursor copy: a failed record must not consume bytes,
+        // Parse on a cursor copy: a failed frame must not consume bytes,
         // so the truncation count covers the whole refused tail.
         let parsed = (|| {
             let mut cursor = dec;
@@ -265,13 +392,10 @@ pub fn read_segment(bytes: &[u8]) -> SegmentRead {
             if crc32(payload) != crc {
                 return None;
             }
-            decode_payload(payload).map(|record| (record, cursor))
+            decode_payload(payload, &mut records).map(|()| cursor)
         })();
         match parsed {
-            Some((record, cursor)) => {
-                records.push(record);
-                dec = cursor;
-            }
+            Some(cursor) => dec = cursor,
             None => {
                 return SegmentRead {
                     truncated_bytes: dec.remaining() as u64,
@@ -353,7 +477,7 @@ pub fn read_wal_dir(dir: &Path) -> std::io::Result<WalScan> {
 /// Accounting for one [`WalWriter::flush`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {
-    /// Records written by this flush.
+    /// Records (logged operations, not frames) written by this flush.
     pub records: u64,
     /// Framed bytes written by this flush.
     pub bytes: u64,
@@ -364,11 +488,13 @@ pub struct FlushStats {
 /// Appends only push the raw record into an in-memory pending list — no
 /// encoding, no checksumming — so the per-ingest hot-path cost is one
 /// `Vec` push. [`WalWriter::flush`] does all the work in bulk at tick
-/// boundaries: encode + CRC into a reused scratch buffer, one `write` to
-/// the operating system, optionally `fsync`ing when configured for
-/// power-loss durability rather than crash durability. Both buffers keep
-/// their capacity across flushes, so a steady-state tick allocates
-/// nothing on the logging path.
+/// boundaries: coalesce the reports into batch frames, encode + CRC into
+/// a reused scratch buffer, one `write` to the operating system,
+/// optionally `fsync`ing when configured for power-loss durability rather
+/// than crash durability. Both buffers keep their capacity across
+/// flushes, so a steady-state tick allocates nothing on the logging path.
+/// Because the framing happens here, not at append, the bytes depend only
+/// on the sequence of appended ops.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
@@ -463,14 +589,12 @@ impl WalWriter {
         self.segment_bytes
     }
 
-    /// Encodes and checksums every pending record in bulk, writes them to
-    /// the current segment, and flushes to the operating system (plus
-    /// `fsync` when configured).
+    /// Frames every pending record in bulk ([`encode_records`]: reports
+    /// coalesced into batches), writes them to the current segment, and
+    /// flushes to the operating system (plus `fsync` when configured).
     pub fn flush(&mut self) -> std::io::Result<FlushStats> {
         self.scratch.clear();
-        for record in &self.pending {
-            encode_record(&mut self.scratch, record);
-        }
+        encode_records(&mut self.scratch, &self.pending);
         let stats = FlushStats {
             records: self.pending.len() as u64,
             bytes: self.scratch.len() as u64,
@@ -647,6 +771,144 @@ mod tests {
         let scan = read_wal_dir(&dir).unwrap();
         assert_eq!(scan.records.len(), 1, "only segment 1 remains");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Payload widths of the frames in a segment body (magic stripped).
+    fn frame_lens(mut body: &[u8]) -> Vec<usize> {
+        let mut lens = Vec::new();
+        while !body.is_empty() {
+            let len = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
+            lens.push(len);
+            body = &body[8 + len..];
+        }
+        lens
+    }
+
+    /// Frames one payload with a valid CRC, whatever it holds.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// The batch split at the cap: 26,214 reports fit one frame, 26,215
+    /// take two, every payload stays within `MAX_RECORD_BYTES`, and both
+    /// read back to the exact records.
+    #[test]
+    fn batch_split_at_the_record_cap() {
+        assert_eq!(MAX_BATCH_REPORTS, 26_214);
+        for (reports, frames) in [(MAX_BATCH_REPORTS, 1), (MAX_BATCH_REPORTS + 1, 2)] {
+            let records: Vec<WalRecord> = (0..reports as u64)
+                .map(|k| report(k + 1, k * 7, k as f64))
+                .collect();
+            let mut bytes = WAL_MAGIC.to_vec();
+            encode_records(&mut bytes, &records);
+            let lens = frame_lens(&bytes[WAL_MAGIC.len()..]);
+            assert_eq!(lens.len(), frames, "{reports} reports");
+            assert!(lens.iter().all(|&len| len <= MAX_RECORD_BYTES as usize));
+            let read = read_segment(&bytes);
+            assert_eq!(read.records, records);
+            assert_eq!(read.truncated_bytes, 0);
+        }
+    }
+
+    /// Runs break at every other op and at a gap in the sequence numbers;
+    /// the writer's segment is exactly `encode_records` of what it was
+    /// given, and reads back to it.
+    #[test]
+    fn reports_coalesce_into_runs_between_other_ops() {
+        let mut records: Vec<WalRecord> = (1..=3).map(|seq| report(seq, seq, 1.0)).collect();
+        records.push(WalRecord {
+            seq: 4,
+            op: WalOp::Commit { tick: 1 },
+        });
+        records.extend((5..=6).map(|seq| report(seq, seq, 2.0)));
+        // A seq gap (a duplicated or spliced record) starts a new batch.
+        records.extend((9..=10).map(|seq| report(seq, seq, 3.0)));
+        let mut bytes = WAL_MAGIC.to_vec();
+        encode_records(&mut bytes, &records);
+        let lens = frame_lens(&bytes[WAL_MAGIC.len()..]);
+        assert_eq!(
+            lens,
+            [13 + 3 * 40, 17, 13 + 2 * 40, 13 + 2 * 40],
+            "batch, commit, batch, batch"
+        );
+        assert_eq!(read_segment(&bytes).records, records);
+
+        let dir = std::env::temp_dir().join(format!("pinnsoc_wal_runs_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut wal = WalWriter::create(&dir, 0, 1, u64::MAX, false).unwrap();
+        let logged: Vec<WalRecord> = records[..7]
+            .iter()
+            .map(|r| WalRecord {
+                seq: wal.append(r.op.clone()).unwrap(),
+                op: r.op.clone(),
+            })
+            .collect();
+        assert_eq!(wal.flush().unwrap().records, 7, "stats count ops");
+        let mut expected = WAL_MAGIC.to_vec();
+        encode_records(&mut expected, &logged);
+        assert_eq!(fs::read(segment_path(&dir, 0)).unwrap(), expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Batches whose CRC is valid but whose shape is not — no reports, a
+    /// body short of or past `count × 40` bytes, a seq range past
+    /// `u64::MAX` — end the log at that frame and yield none of it.
+    #[test]
+    fn malformed_batches_are_refused_whole() {
+        let batch = |first_seq: u64, count: u32, bodies: usize, extra: usize| {
+            let mut payload = vec![OP_REPORT_BATCH];
+            payload.extend_from_slice(&first_seq.to_le_bytes());
+            payload.extend_from_slice(&count.to_le_bytes());
+            for k in 0..bodies {
+                let WalOp::Report { id, telemetry } = report(0, k as u64, 1.0).op else {
+                    unreachable!()
+                };
+                payload.extend_from_slice(&report_body(id, &telemetry));
+            }
+            payload.extend(std::iter::repeat_n(0xA5, extra));
+            framed(&payload)
+        };
+        let commit = WalRecord {
+            seq: 1,
+            op: WalOp::Commit { tick: 1 },
+        };
+        let mut head = WAL_MAGIC.to_vec();
+        encode_record(&mut head, &commit);
+        for (case, frame) in [
+            ("empty", batch(2, 0, 0, 0)),
+            ("short body", batch(2, 3, 2, 0)),
+            ("long body", batch(2, 2, 3, 0)),
+            ("trailing bytes", batch(2, 2, 2, 7)),
+            ("seq overflow", batch(u64::MAX, 2, 2, 0)),
+        ] {
+            let mut bytes = head.clone();
+            bytes.extend_from_slice(&frame);
+            let read = read_segment(&bytes);
+            assert_eq!(read.records, std::slice::from_ref(&commit), "{case}");
+            assert_eq!(read.truncated_bytes, frame.len() as u64, "{case}");
+        }
+        // The last representable seq is fine.
+        let mut bytes = head.clone();
+        bytes.extend_from_slice(&batch(u64::MAX - 1, 2, 2, 0));
+        let read = read_segment(&bytes);
+        assert_eq!(read.records.len(), 3);
+        assert_eq!(read.records[2].seq, u64::MAX);
+    }
+
+    /// A version-1 segment body under the version-2 magic (and the other
+    /// way round) reads the same: the reader takes either magic and every
+    /// frame kind.
+    #[test]
+    fn both_magics_read() {
+        let (bytes, records) = sample_segment();
+        for magic in [WAL_MAGIC, WAL_MAGIC_V1] {
+            let mut segment = magic.to_vec();
+            segment.extend_from_slice(&bytes[WAL_MAGIC.len()..]);
+            assert_eq!(read_segment(&segment).records, records);
+        }
     }
 
     /// Blob length that makes an `Extension` payload exactly `target`

@@ -88,6 +88,7 @@
 // the `std::arch` SIMD intrinsics inside `kernel`, each with a
 // `// SAFETY:` comment. Everything else stays safe Rust.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod account;

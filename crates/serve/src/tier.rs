@@ -311,6 +311,15 @@ impl Backend {
         };
     }
 
+    /// Start and end of the WAL flush in the lane's latest pass (`None`
+    /// on a plain lane).
+    fn last_flush_span(&self) -> Option<(Instant, Instant)> {
+        match self {
+            Backend::Durable(fleet) => fleet.last_flush_span(),
+            Backend::Plain(_) | Backend::Down => None,
+        }
+    }
+
     /// The lane's batch pass (and WAL commit on a durable lane).
     fn process_pending(&mut self, trace_parent: SpanId) -> io::Result<(usize, usize)> {
         match self {
@@ -427,7 +436,9 @@ impl ServeTier {
     /// `tick` span (trace process 0) with one `lane` span per engine
     /// (process `i + 1`). A live lane's span holds a `drain` span (ring
     /// pops), an `ingest` span (the engine's batched absorb, WAL appends
-    /// included) and the engine's own `engine_tick` → `pass` → stage tree.
+    /// included), the engine's own `engine_tick` → `pass` → stage tree
+    /// and, on a durable lane, a `wal_flush` span (the tick-boundary WAL
+    /// encode + checksum + write that follows the pass).
     /// A `publish` span covers building the snapshot. A lane recovered by
     /// [`Self::recover_engine`] re-attaches automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
@@ -669,6 +680,18 @@ impl ServeTier {
                 let (i, e) = lane.backend.process_pending(lane_span)?;
                 integrated += i;
                 estimated += e;
+                let flush = lane.backend.last_flush_span().filter(|_| tracing);
+                if let (Some(tracer), Some((start, end))) = (self.tracer.as_mut(), flush) {
+                    let _ = tracer.sink.record(
+                        "wal_flush",
+                        "durable",
+                        idx as u32 + 1,
+                        0,
+                        lane_span,
+                        start,
+                        end,
+                    );
+                }
             }
             if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), lane_start) {
                 tracer.sink.complete(

@@ -220,8 +220,9 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
             chain, expected,
             "engine {engine}: stage span must chain to the tick root"
         );
-        // Ring pops and the batched absorb are split out under the lane.
-        for split in ["drain", "ingest"] {
+        // Ring pops, the batched absorb and the durable lane's WAL flush
+        // are split out under the lane.
+        for split in ["drain", "ingest", "wal_flush"] {
             let (_, parent, _) = by_id
                 .values()
                 .find(|(name, _, p)| *p == pid && *name == split)
