@@ -18,10 +18,9 @@
 //! ## Measuring
 //!
 //! The baseline bins share one timing harness, [`measure`]: warm-up then
-//! timed samples, reduced by the upper median (`sorted[len / 2]`), the
-//! minimum (kernel microbenches only), or a nearest-rank percentile
-//! (`sorted[round((len - 1) · q)]`), plus round-for-round interleaving of
-//! two measured sides. [`fixtures`] holds the workloads several bins run:
+//! timed samples, reduced by the upper median (`sorted[len / 2]`) or the
+//! minimum (kernel microbenches only), plus round-for-round interleaving
+//! of two measured sides. [`fixtures`] holds the workloads several bins run:
 //! the steady serving tick on the serving protocol constants and the
 //! closed-loop adaptation session.
 

@@ -5,8 +5,6 @@
 //!
 //! - [`upper_median`] is `sorted[len / 2]`: the upper of the two middle
 //!   samples on even lengths, never an average.
-//! - [`percentile`] is nearest-rank on the sorted samples:
-//!   `sorted[round((len - 1) · q)]`.
 //! - [`samples`] makes one untimed warm-up call, then times `reps` calls;
 //!   [`median_time`] and [`min_time`] reduce those samples.
 //! - [`interleaved`] alternates two measured sides round for round, so
@@ -51,18 +49,6 @@ pub fn upper_median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Nearest-rank `q`-quantile (`q` in `[0, 1]`) of ascending `sorted`
-/// samples.
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of no samples");
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "samples unsorted");
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
 /// Calls `a(round)` then `b(round)` for rounds `0..=reps`, and returns
 /// each side's results for rounds `1..=reps`: round 0 is a warm-up of
 /// both sides whose results are dropped.
@@ -92,22 +78,6 @@ mod tests {
         let mut samples = [3.0, 1.0, 2.0, 0.5];
         upper_median(&mut samples);
         assert_eq!(samples, [0.5, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted: Vec<f64> = (0..10).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.0), 0.0);
-        // round(9 · 0.5) = round(4.5) = 5: ties round away from zero.
-        assert_eq!(percentile(&sorted, 0.5), 5.0);
-        // round(9 · 0.99) = round(8.91) = 9.
-        assert_eq!(percentile(&sorted, 0.99), 9.0);
-        assert_eq!(percentile(&sorted, 1.0), 9.0);
-
-        let sorted: Vec<f64> = (0..201).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.5), 100.0);
-        // round(200 · 0.99) = 198.
-        assert_eq!(percentile(&sorted, 0.99), 198.0);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! budgets.
 //!
 //! Each `BENCH_*.json` at the workspace root is flattened to dotted
-//! numeric paths (`serve.shapes.0.p99_s`, `obs.fleet.overhead_pct`, ...)
-//! and compared leaf-by-leaf against the same file archived under
-//! `bench_history/`. A curated [watchlist](default_policies) decides
-//! which paths *gate*: each watched metric carries a direction
+//! numeric paths (`durable.recovery.0.recover_wall_s`,
+//! `obs.fleet.overhead_pct`, ...) and compared leaf-by-leaf against the
+//! same file archived under `bench_history/`. A curated
+//! [watchlist](default_policies) decides which paths *gate*: each
+//! watched metric carries a direction
 //! (lower/higher is better), a relative noise threshold sized to how
 //! jittery the metric is on shared CI hosts (timing metrics get generous
 //! budgets, deterministic accuracy metrics get tight ones), and an
@@ -37,7 +38,7 @@ pub enum Direction {
 #[derive(Debug, Clone)]
 pub struct MetricPolicy {
     /// Dotted path pattern; `*` matches exactly one segment
-    /// (`serve.shapes.*.p99_s` matches every traffic shape's p99).
+    /// (`fleet.results.*.speedup` matches every fleet size's speedup).
     pub pattern: &'static str,
     /// Which direction is good.
     pub direction: Direction,
@@ -94,10 +95,6 @@ impl MetricPolicy {
 pub fn default_policies() -> Vec<MetricPolicy> {
     use Direction::{HigherIsBetter, LowerIsBetter};
     vec![
-        // serve: ingest-to-estimate latency and tick-loop independence.
-        MetricPolicy::new("serve.shapes.*.p50_s", LowerIsBetter, 1.0, 5e-3),
-        MetricPolicy::new("serve.shapes.*.p99_s", LowerIsBetter, 1.0, 5e-3),
-        MetricPolicy::new("serve.topology_bit_identical", HigherIsBetter, 0.5, 0.0),
         // obs: the zero-overhead-when-off contract.
         MetricPolicy::new("obs.fleet.overhead_pct", LowerIsBetter, 1.0, 3.0),
         MetricPolicy::new(
@@ -420,6 +417,14 @@ mod tests {
         Value::Number(serde_json::Number::Float(x))
     }
 
+    /// A `BENCH_durable.json` body with one recovery row.
+    fn recovery(wall_s: f64) -> Value {
+        obj(&[(
+            "recovery",
+            Value::Array(vec![obj(&[("recover_wall_s", num(wall_s))])]),
+        )])
+    }
+
     #[test]
     fn pattern_matching_is_segment_wise() {
         let p = MetricPolicy::new("serve.shapes.*.p99_s", Direction::LowerIsBetter, 0.5, 0.0);
@@ -450,29 +455,35 @@ mod tests {
 
     #[test]
     fn injected_regression_fails_the_gate() {
-        let baseline = obj(&[("shapes", Value::Array(vec![obj(&[("p99_s", num(0.04))])]))]);
-        // p99 blows up 10×: far beyond the 100% budget and the 5 ms floor.
-        let current = obj(&[("shapes", Value::Array(vec![obj(&[("p99_s", num(0.4))])]))]);
+        let baseline = recovery(1.0);
+        // Recovery wall time blows up 10×: far beyond the 200% budget and
+        // the 0.5 s floor.
+        let current = recovery(10.0);
         let t = compare_file(
-            "BENCH_serve.json",
-            "serve",
+            "BENCH_durable.json",
+            "durable",
             &baseline,
             &current,
             &default_policies(),
         );
-        assert_eq!(t.regressed, 1, "the injected p99 regression must gate");
+        assert_eq!(t.regressed, 1, "the injected recovery regression must gate");
         let delta = &t.deltas[0];
         assert_eq!(delta.status, MetricStatus::Regressed);
         assert!(delta.gated);
-        assert_eq!(delta.path, "serve.shapes.0.p99_s");
+        assert_eq!(delta.path, "durable.recovery.0.recover_wall_s");
     }
 
     #[test]
     fn improvement_and_noise_do_not_gate() {
-        let baseline = obj(&[("shapes", Value::Array(vec![obj(&[("p99_s", num(0.04))])]))]);
-        // 20% slower: within the 100% noise budget.
-        let noisy = obj(&[("shapes", Value::Array(vec![obj(&[("p99_s", num(0.048))])]))]);
-        let t = compare_file("f", "serve", &baseline, &noisy, &default_policies());
+        // Twice as slow, and past the 0.5 s floor: within the 200% noise
+        // budget.
+        let t = compare_file(
+            "f",
+            "durable",
+            &recovery(1.0),
+            &recovery(2.0),
+            &default_policies(),
+        );
         assert_eq!(t.regressed, 0);
         // A watched speedup more than doubling: improvement, not failure.
         let base_speed = obj(&[("forward", obj(&[("simd_speedup_vs_scalar", num(1.9))]))]);
@@ -498,9 +509,9 @@ mod tests {
 
     #[test]
     fn bit_identity_flip_gates() {
-        let baseline = obj(&[("topology_bit_identical", Value::Bool(true))]);
-        let current = obj(&[("topology_bit_identical", Value::Bool(false))]);
-        let t = compare_file("f", "serve", &baseline, &current, &default_policies());
+        let baseline = obj(&[("crash_loop_bit_identical", Value::Bool(true))]);
+        let current = obj(&[("crash_loop_bit_identical", Value::Bool(false))]);
+        let t = compare_file("f", "durable", &baseline, &current, &default_policies());
         assert_eq!(t.regressed, 1, "a bit-identity flip must gate");
     }
 

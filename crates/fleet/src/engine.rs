@@ -201,7 +201,8 @@ impl TelemetryStats {
         }
     }
 
-    fn accumulate(&mut self, other: &TelemetryStats) {
+    /// Adds `other`'s counts into `self`, field by field.
+    pub fn accumulate(&mut self, other: &TelemetryStats) {
         self.accepted += other.accepted;
         self.duplicate_timestamp += other.duplicate_timestamp;
         self.rejected_non_finite += other.rejected_non_finite;
@@ -488,9 +489,6 @@ pub struct FleetEngine {
     /// before the pass's public call completes.
     shards: Vec<Option<Shard>>,
     pool: WorkerPool,
-    /// Engine-thread scratch for [`FleetEngine::predict_cells`].
-    scratch: BatchScratch,
-    features: Matrix,
     /// Reused tick buffers (see [`WorkerPool::run`]).
     tick_tasks: Vec<(usize, Shard)>,
     tick_done: Vec<Done>,
@@ -554,8 +552,6 @@ impl FleetEngine {
             config,
             shards,
             pool,
-            scratch: BatchScratch::default(),
-            features: Matrix::zeros(1, 1),
             tick_tasks: Vec::new(),
             tick_done: Vec::new(),
             resolved: Vec::new(),
@@ -1109,53 +1105,6 @@ impl FleetEngine {
         out
     }
 
-    /// Batched prediction for an explicit set of cells under one workload,
-    /// on the calling thread. Unknown or never-reporting cells yield `None`
-    /// at their position.
-    pub fn predict_cells(&mut self, ids: &[CellId], workload: WorkloadQuery) -> Vec<Option<f64>> {
-        let model = self.registry.current();
-        let mut rows: Vec<[f32; 3]> = Vec::with_capacity(ids.len());
-        let mut positions = Vec::with_capacity(ids.len());
-        for (pos, &id) in ids.iter().enumerate() {
-            let (shard_idx, key) = self.shard_and_key(id);
-            let shard = self.shard(shard_idx);
-            if let Some(slot) = shard.index.get(key) {
-                if shard.cells.reports[slot] > 0 {
-                    rows.push(model.branch1.features(
-                        shard.cells.voltage_v[slot],
-                        shard.cells.current_a[slot],
-                        shard.cells.temperature_c[slot],
-                    ));
-                    positions.push(pos);
-                }
-            }
-        }
-        let mut out = vec![None; ids.len()];
-        let mut predictions = Vec::with_capacity(positions.len().min(self.config.micro_batch));
-        for (row_batch, pos_batch) in rows
-            .chunks(self.config.micro_batch)
-            .zip(positions.chunks(self.config.micro_batch))
-        {
-            self.features.reset_for_overwrite(row_batch.len(), 3);
-            for (r, row) in row_batch.iter().enumerate() {
-                self.features.row_mut(r).copy_from_slice(row);
-            }
-            predictions.clear();
-            model.predict_uniform_into(
-                &self.features,
-                workload.avg_current_a,
-                workload.avg_temperature_c,
-                workload.horizon_s,
-                &mut self.scratch,
-                &mut predictions,
-            );
-            for (&pos, &p) in pos_batch.iter().zip(&predictions) {
-                out[pos] = Some(p);
-            }
-        }
-        out
-    }
-
     /// Predicted seconds until empty for one cell at a constant discharge
     /// current.
     pub fn time_to_empty(&self, id: CellId, discharge_current_a: f64) -> Option<f64> {
@@ -1585,23 +1534,6 @@ mod tests {
             assert!(id < 20);
             assert_eq!(p.to_bits(), scalar.to_bits());
         }
-    }
-
-    #[test]
-    fn predict_cells_preserves_positions() {
-        let mut engine = engine_with(10, 2);
-        engine.ingest(3, telemetry(1.0));
-        engine.process_pending();
-        let workload = WorkloadQuery {
-            avg_current_a: 1.0,
-            avg_temperature_c: 25.0,
-            horizon_s: 60.0,
-        };
-        let out = engine.predict_cells(&[3, 9999, 4, 3], workload);
-        assert!(out[0].is_some());
-        assert_eq!(out[1], None, "unknown id");
-        assert_eq!(out[2], None, "never reported");
-        assert_eq!(out[0], out[3], "duplicate id predicts identically");
     }
 
     #[test]

@@ -125,9 +125,8 @@ impl ServeSlo {
     }
 }
 
-/// Serializable SLO summary for bench output (`BENCH_serve.json`'s `slo`
-/// block): window configuration, worst observed burn, and every alert
-/// transition.
+/// Serializable end-of-run SLO summary: window configuration, worst
+/// observed burn, and every alert transition.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloReport {
     /// The latency-bad threshold the run used (seconds).

@@ -39,6 +39,13 @@
 //! cells this tick's passes (and the previous tick's) estimated into the
 //! buffer it reclaims. It sweeps and sorts only on the tick membership
 //! changes.
+//!
+//! Ingest-to-estimate latency (producer enqueue to snapshot publish) is
+//! measured per frame only while something consumes it: with an
+//! [`ObsHub`] or an SLO attached, the tick keeps each drained frame's
+//! enqueue instant and, in one pass after publish, feeds the
+//! `pinnsoc_serve_ingest_latency_seconds` histogram and the latency SLO's
+//! good/bad counts. With neither attached it keeps no per-frame state.
 
 use crate::directory::IdDirectory;
 use crate::health::{HealthBoard, LaneHealth, ServeSlo, SloConfig, SloReport, SloSummary};
@@ -48,7 +55,7 @@ use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotSlot};
 use pinnsoc::SocModel;
 use pinnsoc_durable::{record_recovery, recover, DurableConfig, DurableFleet, RecoveryReport};
 use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry, TelemetryStats};
-use pinnsoc_obs::{FlightRecorder, MetricId, ObsHub, SpanId, TraceSink};
+use pinnsoc_obs::{FlightRecorder, LocalMetrics, MetricId, ObsHub, SpanId, TraceSink};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -101,7 +108,8 @@ pub struct IngestFrame {
     /// The report itself.
     pub telemetry: Telemetry,
     /// When the producer enqueued it — the start of the
-    /// ingest-to-estimate latency measured at snapshot publish.
+    /// ingest-to-estimate latency, measured at snapshot publish while an
+    /// obs hub or an SLO is attached.
     pub enqueued: Instant,
 }
 
@@ -167,7 +175,9 @@ impl IngestHandle {
     }
 }
 
-/// What one [`ServeTier::tick`] did.
+/// What one [`ServeTier::tick`] did: counts only, nothing per frame.
+/// Per-frame latency goes to the obs histogram and the latency SLO (see
+/// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct TickReport {
     /// The tier tick just completed (1-based).
@@ -190,9 +200,6 @@ pub struct TickReport {
     pub skipped_lanes: usize,
     /// Reporting cells in the snapshot just published.
     pub snapshot_cells: usize,
-    /// Ingest-to-estimate latency per frame drained this tick: producer
-    /// enqueue to snapshot publish, seconds.
-    pub latencies_s: Vec<f64>,
 }
 
 /// Registered metric ids for the tier (see `pinnsoc-obs`).
@@ -205,6 +212,9 @@ struct ServeObs {
     snapshot_rebuilds_total: MetricId,
     snapshot_changed_cells: MetricId,
     latency_seconds: MetricId,
+    /// Lock-free buffer for the per-frame latency observations, merged
+    /// once per tick.
+    local: LocalMetrics,
     last_backpressure: u64,
 }
 
@@ -244,6 +254,8 @@ impl ServeObs {
                     10e-6, 30e-6, 100e-6, 300e-6, 1e-3, 3e-3, 10e-3, 30e-3, 100e-3, 300e-3, 1.0,
                 ],
             ),
+            // Built after every tier series above is registered.
+            local: registry.local(),
             last_backpressure: 0,
         }
     }
@@ -258,9 +270,7 @@ impl ServeObs {
         registry.add(self.backpressure_total, backpressure_delta);
         registry.add(self.skipped_lane_ticks_total, report.skipped_lanes as u64);
         registry.set(self.snapshot_cells, report.snapshot_cells as f64);
-        for &latency in &report.latencies_s {
-            registry.observe(self.latency_seconds, latency);
-        }
+        registry.merge(&mut self.local);
     }
 }
 
@@ -359,7 +369,8 @@ pub struct ServeTier {
     tracer: Option<TierTracer>,
     slo: Option<ServeSlo>,
     health: Option<Arc<HealthBoard>>,
-    /// Scratch for enqueue timestamps drained this tick.
+    /// Enqueue instants of the frames drained this tick, kept only while
+    /// an obs hub or an SLO consumes their latency.
     drained_at: Vec<Instant>,
     /// Reused drain buffer: one lane's popped frames, handed to its
     /// engine as one batch.
@@ -481,8 +492,7 @@ impl ServeTier {
         self.slo = Some(ServeSlo::new(hub, config, self.backpressure_total()));
     }
 
-    /// End-of-run SLO summary for bench output (`None` until
-    /// [`Self::attach_slo`]).
+    /// End-of-run SLO summary (`None` until [`Self::attach_slo`]).
     pub fn slo_report(&self) -> Option<SloReport> {
         self.slo.as_ref().map(|slo| SloReport {
             latency_threshold_s: slo.config.latency_threshold_s,
@@ -593,15 +603,8 @@ impl ServeTier {
 
     fn cumulative_stats(&self) -> TelemetryStats {
         let mut total = TelemetryStats::default();
-        for lane in &self.lanes {
-            if let Some(engine) = lane.backend.engine() {
-                let stats = engine.telemetry_stats();
-                total.accepted += stats.accepted;
-                total.duplicate_timestamp += stats.duplicate_timestamp;
-                total.rejected_non_finite += stats.rejected_non_finite;
-                total.rejected_time_reversed += stats.rejected_time_reversed;
-                total.unknown_cell += stats.unknown_cell;
-            }
+        for engine in self.lanes.iter().filter_map(|lane| lane.backend.engine()) {
+            total.accumulate(&engine.telemetry_stats());
         }
         total
     }
@@ -630,9 +633,13 @@ impl ServeTier {
             Some(tracer) if tracing => tracer.sink.open(),
             _ => 0,
         };
+        // Likewise for per-frame latency: with no obs hub and no SLO the
+        // tick keeps no enqueue instants.
+        let timing = self.obs.is_some() || self.slo.is_some();
         let synced = std::mem::replace(&mut self.synced, false);
         let mut drained_at = std::mem::take(&mut self.drained_at);
         drained_at.clear();
+        let mut drained = 0usize;
         let mut integrated = 0usize;
         let mut estimated = 0usize;
         let mut skipped_lanes = 0usize;
@@ -656,8 +663,11 @@ impl ServeTier {
                 for _ in 0..bound {
                     let Some(frame) = lane.ring.pop() else { break };
                     self.batch.push((frame.id, frame.telemetry));
-                    drained_at.push(frame.enqueued);
+                    if timing {
+                        drained_at.push(frame.enqueued);
+                    }
                 }
+                drained += self.batch.len();
                 let popped = tracing.then(Instant::now);
                 lane.backend.ingest_batch(&self.batch);
                 if let (Some(tracer), Some(start), Some(popped)) =
@@ -747,11 +757,20 @@ impl ServeTier {
                 .sink
                 .record("publish", "serve", 0, 0, tick_span, start, published);
         }
-        let drained = drained_at.len();
-        let latencies_s = drained_at
-            .iter()
-            .map(|enqueued| published.duration_since(*enqueued).as_secs_f64())
-            .collect();
+        // One pass over the drained frames' latencies feeds both
+        // consumers: the obs histogram and the latency SLO's bad count.
+        let threshold = self
+            .slo
+            .as_ref()
+            .map_or(f64::INFINITY, |slo| slo.config.latency_threshold_s);
+        let mut late = 0u64;
+        for enqueued in &drained_at {
+            let latency = published.duration_since(*enqueued).as_secs_f64();
+            if let Some(obs) = &mut self.obs {
+                obs.local.observe(obs.latency_seconds, latency);
+            }
+            late += u64::from(latency > threshold);
+        }
         self.drained_at = drained_at;
 
         let report = TickReport {
@@ -763,19 +782,11 @@ impl ServeTier {
             backpressure_total: self.backpressure_total(),
             skipped_lanes,
             snapshot_cells,
-            latencies_s,
         };
         if let Some(obs) = &mut self.obs {
             obs.record(&report, placed.rebuilt, placed.read);
         }
         if let Some(slo) = self.slo.as_mut() {
-            let threshold = slo.config.latency_threshold_s;
-            let bad_latency = report
-                .latencies_s
-                .iter()
-                .filter(|&&latency| latency > threshold)
-                .count() as u64;
-            let good_latency = report.latencies_s.len() as u64 - bad_latency;
             let backpressure = report.backpressure_total - slo.last_backpressure;
             slo.last_backpressure = report.backpressure_total;
             let rejected =
@@ -784,7 +795,7 @@ impl ServeTier {
             slo.observe(
                 report.tick,
                 [
-                    (good_latency, bad_latency),
+                    (report.drained as u64 - late, late),
                     (delivered, backpressure + rejected),
                 ],
             );

@@ -126,7 +126,7 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
     tier.attach_tracer(&recorder);
     // A latency threshold no local tick can cross keeps the SLO section
     // of this test deterministic; the alerting cycle itself is pinned by
-    // `serve_baseline` and the unit tests.
+    // `slo_cycle.rs` and the unit tests.
     tier.attach_slo(
         &hub,
         SloConfig {
