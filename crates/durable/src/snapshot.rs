@@ -129,10 +129,15 @@ fn decode_cell(dec: &mut Dec<'_>) -> Option<CellPersist> {
     })
 }
 
-/// Encodes a complete snapshot file image (magic + body + CRC).
+/// Encodes a complete snapshot file image (magic + body + CRC), built in
+/// one buffer: the body is written straight after the magic and the CRC
+/// is taken over it in place, so a lane never holds two images at once.
 pub fn encode_snapshot(data: &SnapshotData) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128 + data.cells.len() * 96 + data.model_json.len());
-    let mut enc = Enc(&mut body);
+    let mut out = Vec::with_capacity(
+        SNAPSHOT_MAGIC.len() + 128 + data.cells.len() * 96 + data.model_json.len() + 4,
+    );
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    let mut enc = Enc(&mut out);
     enc.u32(FORMAT_VERSION);
     enc.u64(data.last_seq);
     enc.u64(data.tick);
@@ -161,10 +166,7 @@ pub fn encode_snapshot(data: &SnapshotData) -> Vec<u8> {
         enc.bytes(name.as_bytes());
         enc.bytes(blob);
     }
-    let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + body.len() + 4);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    let checksum = crc32(&body);
-    out.extend_from_slice(&body);
+    let checksum = crc32(&out[SNAPSHOT_MAGIC.len()..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -357,6 +359,48 @@ mod tests {
                 assert_eq!(decoded, clean, "flip at byte {byte}");
             }
         }
+    }
+
+    /// `sample()`'s committed snapshot image: the encoder may change how
+    /// it builds a file, never the bytes it writes.
+    #[test]
+    fn encoding_matches_the_committed_fixture() {
+        #[rustfmt::skip]
+        const IMAGE: [u8; 487] = [
+            0x50, 0x53, 0x4f, 0x43, 0x53, 0x4e, 0x50, 0x31, 0x01, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x7b, 0x22, 0x6c, 0x61, 0x62, 0x65, 0x6c, 0x22,
+            0x3a, 0x22, 0x6d, 0x22, 0x7d, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x13, 0x00, 0x00, 0x00, 0x7b, 0x22, 0x63, 0x61, 0x70, 0x61,
+            0x63, 0x69, 0x74, 0x79, 0x5f, 0x61, 0x68, 0x22, 0x3a, 0x33, 0x2e, 0x30, 0x7d, 0x0a, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x5e, 0x40, 0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0x0c, 0x40, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3a, 0x40, 0x0c, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x5e, 0x40, 0xec, 0x51, 0xb8,
+            0x1e, 0x85, 0xeb, 0xe9, 0x3f, 0x48, 0xe1, 0x7a, 0x14, 0xae, 0x47, 0xe9, 0x3f, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xe9, 0x3f, 0x7b, 0x14,
+            0xae, 0x47, 0xe1, 0x7a, 0x84, 0x3f, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2d, 0x43,
+            0x1c, 0xeb, 0xe2, 0x36, 0x1a, 0x3f, 0x95, 0xd6, 0x26, 0xe8, 0x0b, 0x2e, 0x11, 0x3e, 0x8d, 0xed,
+            0xb5, 0xa0, 0xf7, 0xc6, 0xb0, 0x3e, 0x2d, 0x43, 0x1c, 0xeb, 0xe2, 0x36, 0x1a, 0x3f, 0x0a, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xff, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x9a, 0x99,
+            0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2d,
+            0x43, 0x1c, 0xeb, 0xe2, 0x36, 0x1a, 0x3f, 0x95, 0xd6, 0x26, 0xe8, 0x0b, 0x2e, 0x11, 0x3e, 0x8d,
+            0xed, 0xb5, 0xa0, 0xf7, 0xc6, 0xb0, 0x3e, 0x2d, 0x43, 0x1c, 0xeb, 0xe2, 0x36, 0x1a, 0x3f, 0x01,
+            0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x64, 0x61, 0x70, 0x74, 0x03, 0x00, 0x00, 0x00,
+            0x01, 0x02, 0x03, 0xf3, 0x51, 0x33, 0x11,
+        ];
+        assert_eq!(encode_snapshot(&sample()), IMAGE);
+        assert_eq!(decode_snapshot(&IMAGE), Some(sample()));
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub struct FleetConfig {
     /// passes. `0` means auto: one less than the machine's available
     /// parallelism (the caller participates in every pass), capped at the
     /// shard count — so a single-core host runs the whole pass on the
-    /// calling thread with no cross-thread handoff at all.
+    /// calling thread with no cross-thread handoff at all. A serve tier
+    /// also sizes its lane pool from the same resolved value, capped at
+    /// one less than its engine count (see `pinnsoc_serve::ServeConfig`).
     pub workers: usize,
     /// When set, every registered cell carries an EKF fallback estimator
     /// built from these parameters (used when no network estimate covers
@@ -61,6 +63,19 @@ pub struct FleetConfig {
     pub ekf_fallback: Option<CellParams>,
     /// Which network the batch passes serve with (see [`ServingMode`]).
     pub serving: ServingMode,
+}
+
+impl FleetConfig {
+    /// The helper-thread count [`Self::workers`] resolves to before any
+    /// cap: the configured value, or for `0` one less than the host's
+    /// available parallelism (which honours the affinity mask).
+    pub fn resolved_workers(&self) -> usize {
+        if self.workers == 0 {
+            std::thread::available_parallelism().map_or(0, |p| usize::from(p).saturating_sub(1))
+        } else {
+            self.workers
+        }
+    }
 }
 
 impl Default for FleetConfig {
@@ -141,12 +156,14 @@ impl FleetStats {
 pub fn soc_histogram(socs: impl IntoIterator<Item = f64>, bins: usize) -> Vec<usize> {
     assert!(bins > 0, "need at least one bin");
     let mut histogram = vec![0usize; bins];
-    // Through `i64`, one truncating conversion per value (`as usize` takes
-    // several); the clamp maps NaN, negatives and overflow to the same
-    // bins the unsigned cast would.
-    let last = bins as i64 - 1;
+    // Clamped as a float, so the bin index takes no data-dependent branch
+    // (an integer clamp may compile to branches, which mispredict on
+    // estimates spread around 0); then one truncating conversion through
+    // `i64` (`as usize` takes several). NaN and negatives land in bin 0
+    // and overflow in the last, as the unsigned cast would put them.
+    let last = (bins - 1) as f64;
     for soc in socs {
-        let bin = ((soc * bins as f64) as i64).clamp(0, last);
+        let bin = (soc * bins as f64).clamp(0.0, last) as i64;
         histogram[bin as usize] += 1;
     }
     histogram
@@ -539,12 +556,7 @@ impl FleetEngine {
             micro_batch: config.micro_batch.max(1),
             ..config
         };
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(0, |p| usize::from(p).saturating_sub(1))
-        } else {
-            config.workers
-        }
-        .min(config.shards);
+        let workers = config.resolved_workers().min(config.shards);
         let shards = (0..config.shards).map(|_| Some(Shard::new())).collect();
         let pool = WorkerPool::new(Arc::clone(&registry), workers);
         Self {

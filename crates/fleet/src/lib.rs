@@ -76,6 +76,11 @@ pub use engine::{
 pub use registry::{GateCertificate, GateTolerance, InstallError, ModelRegistry, ServingSnapshot};
 pub use telemetry::{CellId, Telemetry};
 
+/// The shared worker-pool runtime, re-exported so layers built on the
+/// fleet (the serve tier's lane pool) run their own tasks on the same
+/// machinery without a dependency of their own.
+pub use pinnsoc_runtime as runtime;
+
 /// Helpers for doctests and benches that need a model without a training
 /// run.
 pub mod testing {

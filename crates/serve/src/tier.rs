@@ -1,15 +1,20 @@
 //! The serve tier itself: N independent fleet engines behind a rendezvous
-//! router, each fed by its own bounded ingest ring and drained by one
-//! tick loop that publishes a read-side snapshot per tick.
+//! router, each fed by its own bounded ingest ring. A tick runs every live
+//! lane as a task on the tier's lane pool and publishes one read-side
+//! snapshot at the join.
 //!
 //! ## Dataflow
 //!
 //! ```text
 //! producers ──IngestHandle::ingest──▶ ring[route(id)]          (lock-free)
 //!                                        │
-//! tick():  pop ≤ capacity frames ──▶ batch ──▶ engine.ingest_batch ──▶ process_pending
-//!          (per lane, reused buffer)       (resolve every slot, then absorb)
+//! tick():  lane pool, one task per live lane (in parallel):
+//!            pop ≤ 4,096 frames ──▶ chunk ──▶ engine.ingest_batch ──┐  (until empty
+//!            (lane-owned buffer)      (resolve slots, then absorb)  │   or ≤ capacity)
+//!            ◀──────────────────────────────────────────────────────┘
+//!            process_pending: pass (+ WAL flush, snapshot on a durable lane)
 //!                                        │
+//!          join: every lane back in its seat ──▶ one publish (tick thread):
 //!          membership_epoch per lane ──▶ same as last publish?
 //!             yes: for_each_changed ──▶ rank bitmap ──▶ patch reclaimed buffer ─┐
 //!             no:  reporting sweep ──▶ sort by id ──▶ new ranks, read all ──────┤
@@ -26,12 +31,31 @@
 //! non-finite fields, time-reversed stamps, unknown cells — lands in the
 //! per-tick [`TickReport::telemetry`] delta.
 //!
-//! Each lane drains in one batch: the tier pops the lane's frames into a
-//! reused buffer, and the engine resolves every frame's `(shard, slot)`
-//! before it absorbs any, in arrival order — bit-identical to per-frame
-//! ingest, with the index lookups no longer serialized in front of each
-//! absorb. Plain and durable lanes share this one drain path; a durable
-//! lane logs the batch's reports to its WAL first.
+//! ## Lanes in parallel
+//!
+//! Lanes share nothing but the clock, so a tick runs them as tasks on a
+//! persistent lane pool (the fleet's [`WorkerPool`], re-exported from
+//! `pinnsoc_fleet::runtime`). A lane's engine and buffers move into its
+//! task by ownership and come back at the join; its ring and durability
+//! configuration stay in the tier. The pool's helper count is
+//! [`FleetConfig::resolved_workers`] capped at `engines − 1`, and the tick
+//! thread always takes a lane itself, so `0` helpers is the serial tick,
+//! not a separate path. Publish, the latency pass, metrics, the SLO and
+//! health all run on the tick thread after the join.
+//!
+//! A lane drains its ring in chunks of at most 4,096 frames into a buffer
+//! it owns, up to the ring's capacity per tick. Each chunk goes to the
+//! engine as one batch: the engine resolves every frame's `(shard, slot)`
+//! before it absorbs any, in arrival order, so chunked batches are
+//! bit-identical to per-frame ingest. Plain and durable lanes share this
+//! one drain path; a durable lane logs each chunk's reports to its WAL
+//! first. Then the lane runs its batch pass (plus the WAL flush and any
+//! due snapshot on a durable lane).
+//!
+//! Nothing observable depends on the lane pool's size: the WAL and
+//! snapshot files a lane writes depend only on its own frames, and
+//! publish places cells by id rank, so snapshots are bit-identical for
+//! any lane-thread count.
 //!
 //! Publishing costs what changed, not what exists: the id directory (see
 //! the `directory` module) remembers each cell's rank in id order while
@@ -42,8 +66,8 @@
 //!
 //! Ingest-to-estimate latency (producer enqueue to snapshot publish) is
 //! measured per frame only while something consumes it: with an
-//! [`ObsHub`] or an SLO attached, the tick keeps each drained frame's
-//! enqueue instant and, in one pass after publish, feeds the
+//! [`ObsHub`] or an SLO attached, each lane keeps its drained frames'
+//! enqueue instants and, in one pass after publish, the tick feeds the
 //! `pinnsoc_serve_ingest_latency_seconds` histogram and the latency SLO's
 //! good/bad counts. With neither attached it keeps no per-frame state.
 
@@ -54,6 +78,7 @@ use crate::router::EngineRouter;
 use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotSlot};
 use pinnsoc::SocModel;
 use pinnsoc_durable::{record_recovery, recover, DurableConfig, DurableFleet, RecoveryReport};
+use pinnsoc_fleet::runtime::{Done, NoContext, PoolObs, PoolTask, WorkerPool};
 use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry, TelemetryStats};
 use pinnsoc_obs::{FlightRecorder, LocalMetrics, MetricId, ObsHub, SpanId, TraceSink};
 use std::io;
@@ -83,7 +108,9 @@ pub struct ServeConfig {
     /// the per-lane drain bound per tick, so one tick's work is bounded
     /// even while producers keep pushing.
     pub ring_capacity: usize,
-    /// Configuration applied to every engine.
+    /// Configuration applied to every engine. Its resolved
+    /// [`FleetConfig::workers`] also sizes the tier's lane pool, capped at
+    /// `engines − 1` helper threads (the tick thread runs a lane too).
     pub fleet: FleetConfig,
     /// When set, every engine is wrapped in a [`DurableFleet`].
     pub durability: Option<DurabilitySpec>,
@@ -275,14 +302,18 @@ impl ServeObs {
 }
 
 /// The tier's flight-recorder attachment: its own sink for the root
-/// `tick` span (pid 0), lane spans (one per engine, pid `i + 1`), and the
-/// `publish` span, plus the recorder handle so
-/// [`ServeTier::recover_engine`] can re-attach a recovered engine's
-/// tracer.
+/// `tick` span (pid 0), the `publish` span and down lanes' empty `lane`
+/// spans, plus the recorder handle so [`ServeTier::recover_engine`] can
+/// re-attach a recovered engine's tracer. Live lanes record into their
+/// own sinks ([`LaneBuffers::sink`]), merged at the join.
 struct TierTracer {
     recorder: Arc<FlightRecorder>,
     sink: TraceSink,
 }
+
+/// Frames a lane pops and ingests per chunk: its batch buffer never grows
+/// past this, however deep the ring.
+const DRAIN_CHUNK: usize = 4096;
 
 /// One engine's seat in the tier.
 struct Lane {
@@ -291,6 +322,122 @@ struct Lane {
     /// The durability configuration this lane was created with — what
     /// [`ServeTier::recover_engine`] replays from.
     durable_config: Option<DurableConfig>,
+    /// Reused from tick to tick; travels into the lane pool with the
+    /// backend.
+    buffers: LaneBuffers,
+}
+
+/// A lane's reusable tick state.
+#[derive(Default)]
+struct LaneBuffers {
+    /// One chunk of popped frames, handed to the engine as one batch.
+    batch: Vec<(CellId, Telemetry)>,
+    /// Enqueue instants of the frames drained this tick, kept only while
+    /// an obs hub or an SLO consumes their latency.
+    drained_at: Vec<Instant>,
+    /// The lane's own trace sink while a recorder is attached.
+    sink: Option<TraceSink>,
+}
+
+/// One live lane's tick on the lane pool: its backend and buffers, out of
+/// the seat for one run.
+struct LaneTask {
+    /// Trace process row: lane index + 1.
+    pid: u32,
+    ring: Arc<IngestRing<IngestFrame>>,
+    backend: Backend,
+    buffers: LaneBuffers,
+}
+
+/// What every lane task of one tick shares.
+#[derive(Debug, Clone, Copy)]
+struct LaneJob {
+    /// The root span each `lane` span parents under (0 untraced).
+    tick_span: SpanId,
+    tracing: bool,
+    /// Keep each drained frame's enqueue instant.
+    timing: bool,
+}
+
+/// Counts one lane task reports back.
+#[derive(Debug, Default)]
+struct LaneTally {
+    drained: usize,
+    integrated: usize,
+    estimated: usize,
+}
+
+impl PoolTask for LaneTask {
+    type Ctx = ();
+    type Kind = LaneJob;
+    type Output = io::Result<LaneTally>;
+
+    /// Drains the ring in chunks, then runs the lane's pass; records the
+    /// lane's spans into its own sink.
+    fn run(&mut self, (): &(), job: LaneJob) -> io::Result<LaneTally> {
+        let LaneBuffers {
+            batch,
+            drained_at,
+            sink,
+        } = &mut self.buffers;
+        let mut sink = sink.as_mut().filter(|_| job.tracing);
+        let lane_start = sink.is_some().then(Instant::now);
+        let lane_span = sink.as_mut().map_or(0, |sink| sink.open());
+        let pid = self.pid;
+        drained_at.clear();
+        let mut tally = LaneTally::default();
+        // The drain bound: at most one ring's worth per tick, so
+        // concurrent producers can never pin the lane in its drain.
+        let mut bound = self.ring.capacity();
+        loop {
+            let chunk_start = sink.is_some().then(Instant::now);
+            let take = bound.min(DRAIN_CHUNK);
+            batch.clear();
+            for _ in 0..take {
+                let Some(frame) = self.ring.pop() else { break };
+                batch.push((frame.id, frame.telemetry));
+                if job.timing {
+                    drained_at.push(frame.enqueued);
+                }
+            }
+            bound -= batch.len();
+            tally.drained += batch.len();
+            let popped = sink.is_some().then(Instant::now);
+            self.backend.ingest_batch(batch);
+            if let (Some(sink), Some(start), Some(popped)) = (sink.as_mut(), chunk_start, popped) {
+                let _ = sink.record("drain", "serve", pid, 0, lane_span, start, popped);
+                let _ = sink.record("ingest", "serve", pid, 0, lane_span, popped, Instant::now());
+            }
+            if batch.len() < take || bound == 0 {
+                break;
+            }
+        }
+        (tally.integrated, tally.estimated) = self.backend.process_pending(lane_span)?;
+        if let (Some(sink), Some(start)) = (sink, lane_start) {
+            if let Some((flush_start, flush_end)) = self.backend.last_flush_span() {
+                let _ = sink.record(
+                    "wal_flush",
+                    "durable",
+                    pid,
+                    0,
+                    lane_span,
+                    flush_start,
+                    flush_end,
+                );
+            }
+            sink.complete(
+                lane_span,
+                "lane",
+                "serve",
+                pid,
+                0,
+                job.tick_span,
+                start,
+                Instant::now(),
+            );
+        }
+        Ok(tally)
+    }
 }
 
 enum Backend {
@@ -369,12 +516,11 @@ pub struct ServeTier {
     tracer: Option<TierTracer>,
     slo: Option<ServeSlo>,
     health: Option<Arc<HealthBoard>>,
-    /// Enqueue instants of the frames drained this tick, kept only while
-    /// an obs hub or an SLO consumes their latency.
-    drained_at: Vec<Instant>,
-    /// Reused drain buffer: one lane's popped frames, handed to its
-    /// engine as one batch.
-    batch: Vec<(CellId, Telemetry)>,
+    /// Runs each tick's live lanes; the tick thread takes part.
+    lane_pool: WorkerPool<NoContext, LaneTask>,
+    /// Reused submit and join buffers of the lane pool.
+    lane_tasks: Vec<(usize, LaneTask)>,
+    lane_done: Vec<Done<LaneTask>>,
 }
 
 impl ServeTier {
@@ -410,8 +556,13 @@ impl ServeTier {
                 backend,
                 ring: Arc::new(IngestRing::with_capacity(config.ring_capacity)),
                 durable_config,
+                buffers: LaneBuffers::default(),
             });
         }
+        let helpers = config
+            .fleet
+            .resolved_workers()
+            .min(config.engines.saturating_sub(1));
         Ok(ServeTier {
             lanes,
             router,
@@ -425,14 +576,17 @@ impl ServeTier {
             tracer: None,
             slo: None,
             health: None,
-            drained_at: Vec::new(),
-            batch: Vec::new(),
+            lane_pool: WorkerPool::new(Arc::new(NoContext), helpers),
+            lane_tasks: Vec::new(),
+            lane_done: Vec::new(),
         })
     }
 
     /// Attaches observability: tier-level ingest/backpressure/latency
-    /// series plus each engine's own fleet series.
+    /// series, the lane pool's `pinnsoc_runtime_pool_*` series (labelled
+    /// `pool="serve-lanes"`), plus each engine's own fleet series.
     pub fn attach_obs(&mut self, hub: &Arc<ObsHub>) {
+        self.lane_pool.attach_obs(PoolObs::new(hub, "serve-lanes"));
         for lane in &mut self.lanes {
             match &mut lane.backend {
                 Backend::Plain(engine) => engine.attach_obs(hub),
@@ -445,16 +599,19 @@ impl ServeTier {
 
     /// Attaches a flight recorder: each [tick](Self::tick) records a root
     /// `tick` span (trace process 0) with one `lane` span per engine
-    /// (process `i + 1`). A live lane's span holds a `drain` span (ring
-    /// pops), an `ingest` span (the engine's batched absorb, WAL appends
-    /// included), the engine's own `engine_tick` → `pass` → stage tree
-    /// and, on a durable lane, a `wal_flush` span (the tick-boundary WAL
-    /// encode + checksum + write that follows the pass).
-    /// A `publish` span covers building the snapshot. A lane recovered by
+    /// (process `i + 1`); live lanes' spans overlap in time, since lanes
+    /// run in parallel. A live lane's span holds one `drain` span (ring
+    /// pops) and one `ingest` span (the engine's batched absorb, WAL
+    /// appends included) per drained chunk, the engine's own
+    /// `engine_tick` → `pass` → stage tree and, on a durable lane, a
+    /// `wal_flush` span (the tick-boundary WAL encode + checksum + write
+    /// that follows the pass). A `publish` span covers building the
+    /// snapshot after the join. A lane recovered by
     /// [`Self::recover_engine`] re-attaches automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
             let pid = idx as u32 + 1;
+            lane.buffers.sink = Some(recorder.sink());
             match &mut lane.backend {
                 Backend::Plain(engine) => engine.attach_tracer(recorder, pid),
                 Backend::Durable(fleet) => fleet.engine_mut().attach_tracer(recorder, pid),
@@ -609,16 +766,26 @@ impl ServeTier {
         total
     }
 
-    /// One tier tick: drain every live lane's ring (bounded at ring
-    /// capacity per lane), run each engine's batch pass, then build and
-    /// publish the snapshot.
+    /// One tier tick: every live lane drains its ring (bounded at ring
+    /// capacity) and runs its engine's batch pass as a task on the lane
+    /// pool; at the join the tick builds and publishes the snapshot.
     ///
     /// Down lanes are skipped — their rings keep buffering until full,
     /// at which point producers see backpressure.
     ///
     /// # Errors
     ///
-    /// Propagates WAL flush/commit failures from durable lanes.
+    /// Propagates WAL flush/commit failures from durable lanes: every lane
+    /// still returns to its seat, and the error of the lowest-indexed
+    /// failing lane is returned. Nothing is published, and the next tick
+    /// rebuilds the snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from a lane task after the other lanes are back
+    /// in their seats. The panicking lane's engine is lost with the
+    /// unwind: the lane stays [down](Self::is_down), and a durable lane
+    /// can come back through [`Self::recover_engine`].
     pub fn tick(&mut self) -> io::Result<TickReport> {
         self.tick += 1;
         let before = self.cumulative_stats();
@@ -634,87 +801,77 @@ impl ServeTier {
             _ => 0,
         };
         // Likewise for per-frame latency: with no obs hub and no SLO the
-        // tick keeps no enqueue instants.
+        // lanes keep no enqueue instants.
         let timing = self.obs.is_some() || self.slo.is_some();
         let synced = std::mem::replace(&mut self.synced, false);
-        let mut drained_at = std::mem::take(&mut self.drained_at);
-        drained_at.clear();
-        let mut drained = 0usize;
-        let mut integrated = 0usize;
-        let mut estimated = 0usize;
         let mut skipped_lanes = 0usize;
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
-            // The drain bound: at most one ring's worth per lane per tick,
-            // so concurrent producers can never pin the tick loop in the
-            // drain.
-            let bound = lane.ring.capacity();
-            let lane_start = tracing.then(Instant::now);
-            let lane_span = match self.tracer.as_mut() {
-                Some(tracer) if tracing => tracer.sink.open(),
-                _ => 0,
-            };
             if matches!(lane.backend, Backend::Down) {
                 skipped_lanes += 1;
-            } else {
-                // Phase one pops the whole lane into the reused batch; the
-                // engine then resolves every frame's slot before absorbing
-                // any (see `FleetEngine::ingest_batch`).
-                self.batch.clear();
-                for _ in 0..bound {
-                    let Some(frame) = lane.ring.pop() else { break };
-                    self.batch.push((frame.id, frame.telemetry));
-                    if timing {
-                        drained_at.push(frame.enqueued);
-                    }
-                }
-                drained += self.batch.len();
-                let popped = tracing.then(Instant::now);
-                lane.backend.ingest_batch(&self.batch);
-                if let (Some(tracer), Some(start), Some(popped)) =
-                    (self.tracer.as_mut(), lane_start, popped)
-                {
+                lane.buffers.drained_at.clear();
+                if let Some(tracer) = self.tracer.as_mut().filter(|_| tracing) {
+                    let now = Instant::now();
                     let pid = idx as u32 + 1;
                     let _ = tracer
                         .sink
-                        .record("drain", "serve", pid, 0, lane_span, start, popped);
-                    let _ = tracer.sink.record(
-                        "ingest",
-                        "serve",
-                        pid,
-                        0,
-                        lane_span,
-                        popped,
-                        Instant::now(),
-                    );
+                        .record("lane", "serve", pid, 0, tick_span, now, now);
                 }
-                let (i, e) = lane.backend.process_pending(lane_span)?;
-                integrated += i;
-                estimated += e;
-                let flush = lane.backend.last_flush_span().filter(|_| tracing);
-                if let (Some(tracer), Some((start, end))) = (self.tracer.as_mut(), flush) {
-                    let _ = tracer.sink.record(
-                        "wal_flush",
-                        "durable",
-                        idx as u32 + 1,
-                        0,
-                        lane_span,
-                        start,
-                        end,
-                    );
+                continue;
+            }
+            // The seat holds `Down` while the lane is out: a lane whose
+            // task panics stays down.
+            self.lane_tasks.push((
+                idx,
+                LaneTask {
+                    pid: idx as u32 + 1,
+                    ring: Arc::clone(&lane.ring),
+                    backend: std::mem::replace(&mut lane.backend, Backend::Down),
+                    buffers: std::mem::take(&mut lane.buffers),
+                },
+            ));
+        }
+        let job = LaneJob {
+            tick_span,
+            tracing,
+            timing,
+        };
+        let panicked = self
+            .lane_pool
+            .run(job, &mut self.lane_tasks, &mut self.lane_done);
+        // The join: every lane that came back returns to its seat.
+        let mut tally = LaneTally::default();
+        let mut failed: Option<(usize, io::Error)> = None;
+        for done in self.lane_done.drain(..) {
+            let lane = &mut self.lanes[done.idx];
+            lane.backend = done.task.backend;
+            lane.buffers = done.task.buffers;
+            if let (Some(tracer), Some(sink)) = (&self.tracer, lane.buffers.sink.as_mut()) {
+                tracer.recorder.merge(sink);
+            }
+            match done.output {
+                Ok(lane) => {
+                    tally.drained += lane.drained;
+                    tally.integrated += lane.integrated;
+                    tally.estimated += lane.estimated;
+                }
+                Err(err) if failed.as_ref().is_none_or(|(idx, _)| done.idx < *idx) => {
+                    failed = Some((done.idx, err));
+                }
+                Err(_) => {}
+            }
+        }
+        if panicked {
+            if let Some(board) = &self.health {
+                for (idx, lane) in self.lanes.iter().enumerate() {
+                    if matches!(lane.backend, Backend::Down) {
+                        board.set_lane_up(idx, false);
+                    }
                 }
             }
-            if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), lane_start) {
-                tracer.sink.complete(
-                    lane_span,
-                    "lane",
-                    "serve",
-                    idx as u32 + 1,
-                    0,
-                    tick_span,
-                    start,
-                    Instant::now(),
-                );
-            }
+            panic!("a lane task panicked during tick {}", self.tick);
+        }
+        if let Some((_, err)) = failed {
+            return Err(err);
         }
 
         // Every live engine's reporting cells, placed in id order by the
@@ -764,20 +921,19 @@ impl ServeTier {
             .as_ref()
             .map_or(f64::INFINITY, |slo| slo.config.latency_threshold_s);
         let mut late = 0u64;
-        for enqueued in &drained_at {
+        for enqueued in self.lanes.iter().flat_map(|lane| &lane.buffers.drained_at) {
             let latency = published.duration_since(*enqueued).as_secs_f64();
             if let Some(obs) = &mut self.obs {
                 obs.local.observe(obs.latency_seconds, latency);
             }
             late += u64::from(latency > threshold);
         }
-        self.drained_at = drained_at;
 
         let report = TickReport {
             tick: self.tick,
-            drained,
-            integrated,
-            estimated,
+            drained: tally.drained,
+            integrated: tally.integrated,
+            estimated: tally.estimated,
             telemetry: self.cumulative_stats().delta(&before),
             backpressure_total: self.backpressure_total(),
             skipped_lanes,
@@ -878,18 +1034,23 @@ impl ServeTier {
         let config = self.lanes[engine]
             .durable_config
             .clone()
-            .expect("down lanes are always durable");
+            .expect("recover_engine requires a durable lane");
         let (mut fleet, report) = recover(config, self.config.fleet.workers)?;
         if let Some(obs) = &self.obs {
             fleet.attach_obs(&obs.hub);
             record_recovery(&obs.hub, &report);
         }
+        let lane = &mut self.lanes[engine];
         if let Some(tracer) = &self.tracer {
             fleet
                 .engine_mut()
                 .attach_tracer(&tracer.recorder, engine as u32 + 1);
+            // A lane lost to a panicking task lost its sink with it.
+            lane.buffers
+                .sink
+                .get_or_insert_with(|| tracer.recorder.sink());
         }
-        self.lanes[engine].backend = Backend::Durable(Box::new(fleet));
+        lane.backend = Backend::Durable(Box::new(fleet));
         self.synced = false;
         if let Some(board) = &self.health {
             board.set_lane_up(engine, true);

@@ -21,8 +21,9 @@ use pinnsoc_scenario::{tear_directory, CrashPoint};
 use pinnsoc_serve::{DurabilitySpec, ServeConfig, ServeTier, SloConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const CELLS: u64 = 32;
 const ENGINES: usize = 2;
@@ -170,6 +171,21 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
             "missing {expected} in /metrics"
         );
     }
+    // The lane pool reports as its own pool: run and handoff latency,
+    // worker-vs-caller task counts and occupancy.
+    for expected in [
+        "pinnsoc_runtime_pool_run_seconds_bucket",
+        "pinnsoc_runtime_pool_handoff_seconds_bucket",
+        "pinnsoc_runtime_pool_worker_tasks_total",
+        "pinnsoc_runtime_pool_caller_tasks_total",
+        "pinnsoc_runtime_pool_worker_occupancy",
+    ] {
+        assert!(
+            body.lines()
+                .any(|line| line.starts_with(expected) && line.contains(r#"pool="serve-lanes""#)),
+            "missing {expected}{{pool=\"serve-lanes\"}} in /metrics"
+        );
+    }
 
     // -- /snapshot.json parses and carries the same ingest counter. --
     let (code, body) = http_get(addr, "/snapshot.json").expect("GET /snapshot.json");
@@ -281,6 +297,9 @@ fn scraper_polling_live_ticks_never_tears_or_blocks() {
     let addr = plane.addr();
 
     let stop = AtomicBool::new(false);
+    // Bumped after each full scrape: the tick loop keeps going until the
+    // scraper has had at least one window in, however fast ticks are.
+    let completed = AtomicU64::new(0);
     let scrapes = std::thread::scope(|scope| {
         let scraper = scope.spawn(|| {
             let mut ok = 0u64;
@@ -308,10 +327,19 @@ fn scraper_polling_live_ticks_never_tears_or_blocks() {
                 assert_eq!(code, 200);
                 parse_prometheus(&body);
                 ok += 1;
+                completed.fetch_add(1, Ordering::Release);
             }
             ok
         });
-        for tick in 1..=40 {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut tick = 0;
+        while tick < 40 || completed.load(Ordering::Acquire) == 0 {
+            if Instant::now() > deadline {
+                // `scrapes > 0` fails below, after the scraper is joined
+                // (and has surfaced its own failure, if any).
+                break;
+            }
+            tick += 1;
             drive_tick(&mut tier, tick);
         }
         stop.store(true, Ordering::Relaxed);

@@ -85,7 +85,8 @@ fn snapshot_bits(tier: &ServeTier) -> Vec<(u64, u64, Option<u64>, bool, u64)> {
 /// The tentpole contract: identical traffic through different engine
 /// counts, per-engine shard counts, and worker counts lands on
 /// bit-identical snapshots — placement and parallelism never change the
-/// numbers or the aggregates.
+/// numbers or the aggregates. `workers` also sizes the lane pool (capped
+/// at `engines − 1`), so `(4, 5, 3)` gives every lane its own thread.
 #[test]
 fn snapshots_bit_identical_across_topologies() {
     let mut reference = tier(1, 2, 0);
@@ -94,7 +95,7 @@ fn snapshots_bit_identical_across_topologies() {
     let expected_stats = reference.reader().snapshot().stats();
     let expected_histogram = reference.reader().snapshot().soc_histogram(16);
 
-    for (engines, shards, workers) in [(2, 3, 0), (3, 4, 2), (4, 7, 1)] {
+    for (engines, shards, workers) in [(2, 3, 0), (3, 4, 2), (4, 7, 1), (4, 5, 3)] {
         let mut other = tier(engines, shards, workers);
         run_traffic(&mut other);
         assert_eq!(
