@@ -91,6 +91,9 @@ struct PoolState<T: PoolTask> {
     kind: Option<T::Kind>,
     /// Tasks awaiting execution this run.
     queue: Vec<(usize, T)>,
+    /// Whether workers take part in this run (see
+    /// [`WorkerPool::run_on_caller`]).
+    wake: bool,
     /// Tasks currently executing (on workers or the caller).
     active: usize,
     /// Completed tasks, awaiting collection by the caller.
@@ -143,6 +146,7 @@ impl<S: PinSource, T: PoolTask<Ctx = S::Ctx>> WorkerPool<S, T> {
                 shutdown: false,
                 kind: None,
                 queue: Vec::new(),
+                wake: false,
                 active: 0,
                 done: Vec::new(),
                 panicked: false,
@@ -228,6 +232,32 @@ impl<S: PinSource, T: PoolTask<Ctx = S::Ctx>> WorkerPool<S, T> {
         tasks: &mut Vec<(usize, T)>,
         done_out: &mut Vec<Done<T>>,
     ) -> bool {
+        self.run_with(kind, tasks, done_out, true)
+    }
+
+    /// [`Self::run`] with the workers sitting out: the calling thread
+    /// runs every task, through the same queue, join, panic handling and
+    /// observability, and no worker is woken. For runs too small to pay
+    /// for a wake-up — the handoff there and back costs more than the
+    /// tasks, and a woken worker competes for a core with whatever else is
+    /// runnable.
+    #[must_use = "a panicked run must be re-raised after restoring tasks"]
+    pub fn run_on_caller(
+        &mut self,
+        kind: T::Kind,
+        tasks: &mut Vec<(usize, T)>,
+        done_out: &mut Vec<Done<T>>,
+    ) -> bool {
+        self.run_with(kind, tasks, done_out, false)
+    }
+
+    fn run_with(
+        &mut self,
+        kind: T::Kind,
+        tasks: &mut Vec<(usize, T)>,
+        done_out: &mut Vec<Done<T>>,
+        wake: bool,
+    ) -> bool {
         done_out.clear();
         if tasks.is_empty() {
             return false;
@@ -245,13 +275,14 @@ impl<S: PinSource, T: PoolTask<Ctx = S::Ctx>> WorkerPool<S, T> {
         debug_assert!(st.queue.is_empty() && st.active == 0 && st.done.is_empty());
         st.kind = Some(kind);
         st.queue.append(tasks);
+        st.wake = wake;
         st.epoch = st.epoch.wrapping_add(1);
         st.panicked = false;
         st.obs_active = self.obs.is_some();
         st.worker_tasks = 0;
         st.caller_tasks = 0;
         st.first_worker_pop = None;
-        if !self.handles.is_empty() && st.queue.len() > 1 {
+        if wake && !self.handles.is_empty() && st.queue.len() > 1 {
             // With a single task the caller will run it directly; don't
             // wake workers just to find an empty queue.
             self.shared.work_ready.notify_all();
@@ -391,11 +422,12 @@ fn worker_loop<S: PinSource, T: PoolTask<Ctx = S::Ctx>>(shared: &Shared<S, T>) {
             if st.shutdown {
                 return;
             }
-            if st.epoch != seen_epoch && !st.queue.is_empty() {
+            if st.epoch != seen_epoch && st.wake && !st.queue.is_empty() {
                 break;
             }
-            // Either no new epoch, or its queue was already drained by the
-            // caller and the other workers — nothing for us this run.
+            // No new epoch, a run the caller keeps to itself, or a queue
+            // already drained by the caller and the other workers —
+            // nothing for us this run.
             seen_epoch = st.epoch;
             st = shared
                 .work_ready
@@ -497,6 +529,50 @@ mod tests {
                 assert_eq!(d.task.seen_ctx, run, "stale context pinned");
             }
         }
+    }
+
+    /// A task that sleeps for its duration.
+    struct Nap(std::time::Duration);
+
+    impl PoolTask for Nap {
+        type Ctx = ();
+        type Kind = ();
+        type Output = ();
+
+        fn run(&mut self, _: &(), (): ()) {
+            std::thread::sleep(self.0);
+        }
+    }
+
+    #[test]
+    fn run_on_caller_keeps_workers_out() {
+        let (full, caller) = (pinnsoc_obs::ObsHub::new(), pinnsoc_obs::ObsHub::new());
+        let mut pool: WorkerPool<NoContext, Nap> = WorkerPool::new(Arc::new(NoContext), 2);
+        let naps = |micros| (0..4).map(move |i| (i, Nap(std::time::Duration::from_micros(micros))));
+        let mut queue = Vec::new();
+        let mut done = Vec::new();
+        for _ in 0..20 {
+            // A full run of instant tasks wakes the workers, and the
+            // caller is likely done before they arrive: they then find
+            // the caller-only run's queue, and must leave it alone.
+            pool.attach_obs(PoolObs::new(&full, "lanes"));
+            queue.extend(naps(0));
+            assert!(!pool.run((), &mut queue, &mut done));
+            assert_eq!(done.len(), 4);
+            pool.attach_obs(PoolObs::new(&caller, "lanes"));
+            queue.extend(naps(200));
+            assert!(!pool.run_on_caller((), &mut queue, &mut done));
+            assert_eq!(done.len(), 4);
+        }
+        let caller = caller.snapshot().metrics;
+        assert_eq!(
+            caller.counter_total("pinnsoc_runtime_pool_worker_tasks_total"),
+            0
+        );
+        assert_eq!(
+            caller.counter_total("pinnsoc_runtime_pool_caller_tasks_total"),
+            80
+        );
     }
 
     #[test]

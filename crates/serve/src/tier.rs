@@ -8,7 +8,7 @@
 //! ```text
 //! producers ──IngestHandle::ingest──▶ ring[route(id)]          (lock-free)
 //!                                        │
-//! tick():  lane pool, one task per live lane (in parallel):
+//! tick():  lane pool, one task per live lane (in parallel from 4,096 queued frames):
 //!            pop ≤ 4,096 frames ──▶ chunk ──▶ engine.ingest_batch ──┐  (until empty
 //!            (lane-owned buffer)      (resolve slots, then absorb)  │   or ≤ capacity)
 //!            ◀──────────────────────────────────────────────────────┘
@@ -40,8 +40,12 @@
 //! configuration stay in the tier. The pool's helper count is
 //! [`FleetConfig::resolved_workers`] capped at `engines − 1`, and the tick
 //! thread always takes a lane itself, so `0` helpers is the serial tick,
-//! not a separate path. Publish, the latency pass, metrics, the SLO and
-//! health all run on the tick thread after the join.
+//! not a separate path. Helpers are woken only when the live lanes hold
+//! at least 4,096 queued frames between them; below that the same pool
+//! run executes every lane on the tick thread, since a trickle of frames
+//! costs less than a wake-up and the handoff back. Publish, the latency
+//! pass, metrics, the SLO and health all run on the tick thread after the
+//! join.
 //!
 //! A lane drains its ring in chunks of at most 4,096 frames into a buffer
 //! it owns, up to the ring's capacity per tick. Each chunk goes to the
@@ -314,6 +318,15 @@ struct TierTracer {
 /// Frames a lane pops and ingests per chunk: its batch buffer never grows
 /// past this, however deep the ring.
 const DRAIN_CHUNK: usize = 4096;
+
+/// Queued frames, summed over live lanes, from which a tick wakes the lane
+/// pool's helpers. Below it the lanes' whole drain, ingest and pass cost
+/// less than a helper's wake-up and handoff back, so the tick thread runs
+/// them through the same pool run without waking anyone: a helper woken
+/// for a few dozen frames only competes for a core with the engines' own
+/// pass helpers and the producers, and makes tick time ride on the host's
+/// scheduling.
+const WAKE_HELPERS_FRAMES: usize = DRAIN_CHUNK;
 
 /// One engine's seat in the tier.
 struct Lane {
@@ -805,6 +818,7 @@ impl ServeTier {
         let timing = self.obs.is_some() || self.slo.is_some();
         let synced = std::mem::replace(&mut self.synced, false);
         let mut skipped_lanes = 0usize;
+        let mut queued = 0usize;
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
             if matches!(lane.backend, Backend::Down) {
                 skipped_lanes += 1;
@@ -818,6 +832,7 @@ impl ServeTier {
                 }
                 continue;
             }
+            queued += lane.ring.len();
             // The seat holds `Down` while the lane is out: a lane whose
             // task panics stays down.
             self.lane_tasks.push((
@@ -835,9 +850,17 @@ impl ServeTier {
             tracing,
             timing,
         };
-        let panicked = self
-            .lane_pool
-            .run(job, &mut self.lane_tasks, &mut self.lane_done);
+        let run = if queued >= WAKE_HELPERS_FRAMES {
+            WorkerPool::run
+        } else {
+            WorkerPool::run_on_caller
+        };
+        let panicked = run(
+            &mut self.lane_pool,
+            job,
+            &mut self.lane_tasks,
+            &mut self.lane_done,
+        );
         // The join: every lane that came back returns to its seat.
         let mut tally = LaneTally::default();
         let mut failed: Option<(usize, io::Error)> = None;

@@ -11,7 +11,9 @@ use pinnsoc_scenario::{tear_directory, CrashPoint, FaultChannel, FaultModel};
 use pinnsoc_serve::{DurabilitySpec, ServeConfig, ServeTier};
 use std::path::{Path, PathBuf};
 
-const CELLS: u64 = 96;
+/// Enough cells that every tick queues more frames than the lane pool's
+/// wake threshold (4,096 over all lanes), so the helpers really run lanes.
+const CELLS: u64 = 4_800;
 const ENGINES: usize = 4;
 const TICKS: u64 = 14;
 const CRASH_TICK: u64 = 7;

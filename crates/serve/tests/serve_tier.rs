@@ -86,7 +86,9 @@ fn snapshot_bits(tier: &ServeTier) -> Vec<(u64, u64, Option<u64>, bool, u64)> {
 /// counts, per-engine shard counts, and worker counts lands on
 /// bit-identical snapshots — placement and parallelism never change the
 /// numbers or the aggregates. `workers` also sizes the lane pool (capped
-/// at `engines − 1`), so `(4, 5, 3)` gives every lane its own thread.
+/// at `engines − 1`), so `(4, 5, 3)` gives every lane its own thread;
+/// this traffic is below the pool's wake threshold, so lanes run on the
+/// tick thread here, and `lane_threads.rs` drives helper-run lanes.
 #[test]
 fn snapshots_bit_identical_across_topologies() {
     let mut reference = tier(1, 2, 0);
