@@ -21,11 +21,6 @@ pub struct SimRun {
 }
 
 impl SimRun {
-    /// Ground-truth SoC trace of the run.
-    pub fn soc_trace(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.soc).collect()
-    }
-
     /// Total charge throughput (∫|I|dt), amp-hours.
     pub fn charge_throughput_ah(&self) -> f64 {
         let mut ah = 0.0;

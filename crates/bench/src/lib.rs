@@ -184,18 +184,6 @@ impl HorizonSweep<'_> {
     }
 }
 
-/// Trains a single `(variant, seed)` model with the given factory — shared
-/// by Table I and Fig. 5 harnesses.
-pub fn train_variant(
-    dataset: &SocDataset,
-    variant: PinnVariant,
-    seed: u64,
-    make_config: fn(PinnVariant, u64) -> TrainConfig,
-) -> SocModel {
-    let config = make_config(variant, seed);
-    train(dataset, &config).0
-}
-
 /// Prints a Fig. 3 / Fig. 4-style table: one row per variant, one column
 /// per horizon, with the relative improvement vs. the first row (No-PINN).
 pub fn print_horizon_table(results: &[VariantResult], horizons_s: &[f64]) {

@@ -53,7 +53,6 @@ pub mod model;
 pub mod quantized;
 pub mod rollout;
 pub mod train;
-pub mod trainer;
 
 pub use baselines::{LstmBaselineConfig, LstmEstimator, MlpBaselineConfig, MlpEstimator};
 pub use config::{PinnVariant, TrainConfig};

@@ -177,11 +177,6 @@ impl QuantizedSocModel {
         &self.source.label
     }
 
-    /// The quantized Branch-1 network (accounting and tests).
-    pub fn branch1_net(&self) -> &QuantizedMlp {
-        &self.b1
-    }
-
     /// Heap bytes of the quantized networks (weights, biases, scales).
     pub fn memory_bytes(&self) -> usize {
         self.b1.memory_bytes() + self.b2.as_ref().map_or(0, QuantizedMlp::memory_bytes)

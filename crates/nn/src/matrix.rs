@@ -392,11 +392,6 @@ impl Matrix {
         Self::from_vec(1, values.len(), values.to_vec())
     }
 
-    /// Creates a single-column matrix from a slice.
-    pub fn column_vector(values: &[f32]) -> Self {
-        Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -256,6 +256,49 @@ proptest! {
         }
     }
 
+    /// Int8 error bound: for a single Identity layer and inputs inside the
+    /// calibrated range, every int8 output lies within
+    /// `QuantizedMlp::layer_error_bound` of the f32 `infer` output.
+    #[test]
+    fn int8_layer_stays_within_error_bound(
+        fan_in in 1usize..=40,
+        fan_out in 1usize..=24,
+        batch in 1usize..=16,
+        range in 0.01f32..10.0,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mlp = Mlp::from_layers(vec![Dense::new(
+            fan_in,
+            fan_out,
+            Activation::Identity,
+            Init::HeNormal,
+            &mut rng,
+        )]);
+        let x = Matrix::from_vec(
+            batch,
+            fan_in,
+            (0..batch * fan_in).map(|i| ((i as f32) * 0.61 + seed as f32).sin() * range).collect(),
+        );
+        let mut calib = CalibrationStats::new(1);
+        calib.observe(&mlp, &x);
+        let input_max_abs = calib.layer_max_abs()[0];
+        prop_assert_eq!(input_max_abs, x.max_abs());
+        let qmlp = QuantizedMlp::quantize(&mlp, &calib);
+        let mut scratch = QuantScratch::default();
+        let quantized = qmlp.forward_batch(&x, &mut scratch);
+        let reference = mlp.infer(&x);
+        prop_assert_eq!(quantized.shape(), reference.shape());
+        for r in 0..batch {
+            for c in 0..fan_out {
+                let error = (quantized[(r, c)] - reference[(r, c)]).abs();
+                let bound = qmlp.layer_error_bound(0, input_max_abs, c);
+                prop_assert!(error <= bound, "({}, {}): |{} - {}| = {} > {}",
+                    r, c, quantized[(r, c)], reference[(r, c)], error, bound);
+            }
+        }
+    }
+
     /// Bit-exactness contract, layer level: `infer` and `forward_batch`
     /// agree bit-exactly per row across random layer shapes, batch
     /// heights, and activations.

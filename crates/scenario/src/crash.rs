@@ -1,7 +1,8 @@
 //! Seeded crash injection for closed-loop scenarios.
 //!
 //! [`run_crash_scenario`] runs a scenario twice: once uninterrupted against
-//! a plain [`FleetEngine`] (the control), and once against a
+//! a plain [`FleetEngine`] (the control — the same closed loop
+//! [`crate::run_scenario`] scores, not a copy of it), and once against a
 //! [`DurableFleet`] that is **killed** at a seeded tick — the process-death
 //! simulation drops the fleet without its final flush and then vandalizes
 //! the durability directory according to the [`CrashPoint`] — recovered
@@ -14,21 +15,20 @@
 //!
 //! Every generation-side component — population draws, ground-truth
 //! simulators, load profiles, fault channels — is a pure function of the
-//! scenario seed. The continuation rebuilds them from scratch and
-//! fast-forwards to the recovered tick boundary *discarding* deliveries
-//! (they are already committed inside the recovered engine), then delivers
-//! normally from there. Held packets inside reordering fault channels are
-//! reproduced by the fast-forward, so nothing is delivered twice and
-//! nothing is lost — exactly the recovery procedure a real fleet gateway
-//! would run by replaying its upstream feed from the last commit.
+//! scenario seed, derived in one place that the control, the doomed run
+//! and the continuation all build. The continuation rebuilds it from
+//! scratch and fast-forwards to the recovered tick boundary *discarding*
+//! deliveries (they are already committed inside the recovered engine),
+//! then delivers normally from there. Held packets inside reordering fault
+//! channels are reproduced by the fast-forward, so nothing is delivered
+//! twice and nothing is lost — exactly the recovery procedure a real fleet
+//! gateway would run by replaying its upstream feed from the last commit.
 
-use crate::faults::FaultChannel;
-use crate::runner::EngineSpec;
+use crate::runner::{drive, EngineSpec, NoopObserver, SimLoop};
 use crate::spec::Scenario;
 use pinnsoc::SocModel;
-use pinnsoc_battery::{aged_params, CellSim, Soc, Soh};
 use pinnsoc_durable::{record_recovery, recover, DurableConfig, DurableFleet, RecoveryReport};
-use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, SocEstimate, Telemetry};
+use pinnsoc_fleet::{CellId, FleetEngine, SocEstimate};
 use pinnsoc_obs::ObsHub;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,120 +123,6 @@ impl CrashScenarioRun {
     }
 }
 
-/// The deterministic generation side of one scenario: ground-truth
-/// simulators, fault channels, and load profiles, rebuilt bit-identically
-/// from the scenario seed any number of times.
-struct SimLoop {
-    sims: Vec<CellSim>,
-    channels: Vec<FaultChannel>,
-    currents: Vec<Vec<f64>>,
-    configs: Vec<CellConfig>,
-    scenario: Scenario,
-}
-
-impl SimLoop {
-    /// Mirrors the population/stream derivation of
-    /// [`crate::run_scenario_observed`]: one seeded RNG stream for the
-    /// population, salted per-cell streams for loads and faults.
-    fn build(scenario: &Scenario) -> Self {
-        let population = &scenario.population;
-        let timing = &scenario.timing;
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        let uniform = |rng: &mut StdRng, (lo, hi): (f64, f64)| lo + (hi - lo) * rng.gen::<f64>();
-        let ambient0 = scenario.environment.ambient_at(0.0, timing.duration_s);
-        let cells = population.cells;
-        let mut sims = Vec::with_capacity(cells);
-        let mut channels = Vec::with_capacity(cells);
-        let mut currents = Vec::with_capacity(cells);
-        let mut configs = Vec::with_capacity(cells);
-        for id in 0..cells as u64 {
-            let soh = Soh::new(uniform(&mut rng, population.soh)).expect("validated range");
-            let initial_soc = uniform(&mut rng, population.initial_soc);
-            let aged = aged_params(&population.params, soh);
-            sims.push(CellSim::new(
-                aged.clone(),
-                Soc::clamped(initial_soc),
-                ambient0,
-            ));
-            channels.push(FaultChannel::new(
-                scenario.faults,
-                crate::runner::cell_stream(scenario.seed, id, 0xFA17),
-            ));
-            currents.push(crate::runner::cell_currents(scenario, id));
-            configs.push(CellConfig {
-                initial_soc,
-                capacity_ah: aged.capacity_ah,
-            });
-        }
-        Self {
-            sims,
-            channels,
-            currents,
-            configs,
-            scenario: scenario.clone(),
-        }
-    }
-
-    /// The rest-state baseline reports at t = 0.
-    fn baseline(&mut self, out: &mut Vec<(CellId, Telemetry)>) {
-        let mut deliver = Vec::new();
-        for (i, sim) in self.sims.iter().enumerate() {
-            self.channels[i].transmit(
-                Telemetry {
-                    time_s: 0.0,
-                    voltage_v: sim.terminal_voltage_if(0.0),
-                    current_a: 0.0,
-                    temperature_c: sim.state().temperature_c,
-                },
-                &mut deliver,
-            );
-            out.extend(deliver.drain(..).map(|t| (i as CellId, t)));
-        }
-    }
-
-    /// Advances every simulator through telemetry step `step` (1-based)
-    /// and collects the fault-mangled deliveries.
-    fn step(&mut self, step: usize, out: &mut Vec<(CellId, Telemetry)>) {
-        let timing = &self.scenario.timing;
-        let t = step as f64 * timing.dt_s;
-        let ambient = self.scenario.environment.ambient_at(t, timing.duration_s);
-        let mut deliver = Vec::new();
-        for (i, sim) in self.sims.iter_mut().enumerate() {
-            sim.set_ambient_c(ambient);
-            let record = sim.step(self.currents[i][step - 1], timing.dt_s);
-            self.channels[i].transmit(
-                Telemetry {
-                    time_s: t,
-                    voltage_v: record.voltage_v,
-                    current_a: record.current_a,
-                    temperature_c: record.temperature_c,
-                },
-                &mut deliver,
-            );
-            out.extend(deliver.drain(..).map(|t| (i as CellId, t)));
-        }
-    }
-
-    /// End-of-stream: releases reports still held by reordering channels.
-    fn flush(&mut self, out: &mut Vec<(CellId, Telemetry)>) {
-        let mut deliver = Vec::new();
-        for (i, channel) in self.channels.iter_mut().enumerate() {
-            channel.flush(&mut deliver);
-            out.extend(deliver.drain(..).map(|t| (i as CellId, t)));
-        }
-    }
-}
-
-fn fleet_config(scenario: &Scenario, engine: &EngineSpec) -> FleetConfig {
-    FleetConfig {
-        shards: engine.shards.max(1),
-        micro_batch: engine.micro_batch.max(1),
-        workers: engine.workers,
-        ekf_fallback: Some(scenario.population.params.clone()),
-        ..FleetConfig::default()
-    }
-}
-
 fn final_estimates(engine: &FleetEngine) -> Vec<CellEstimate> {
     engine
         .ids()
@@ -250,37 +136,6 @@ fn final_estimates(engine: &FleetEngine) -> Vec<CellEstimate> {
             }
         })
         .collect()
-}
-
-/// The uninterrupted control: the same loop the crash run follows, against
-/// a plain engine.
-fn run_control(scenario: &Scenario, model: &SocModel, engine: &EngineSpec) -> Vec<CellEstimate> {
-    let mut sim = SimLoop::build(scenario);
-    let mut fleet = FleetEngine::new(model.clone(), fleet_config(scenario, engine));
-    for (id, config) in sim.configs.clone().into_iter().enumerate() {
-        fleet.register(id as CellId, config);
-    }
-    let mut out = Vec::new();
-    sim.baseline(&mut out);
-    for (id, telemetry) in out.drain(..) {
-        fleet.ingest(id, telemetry);
-    }
-    let steps = scenario.timing.steps();
-    for step in 1..=steps {
-        sim.step(step, &mut out);
-        for (id, telemetry) in out.drain(..) {
-            fleet.ingest(id, telemetry);
-        }
-        if step % scenario.timing.process_every == 0 {
-            fleet.process_pending();
-        }
-    }
-    sim.flush(&mut out);
-    for (id, telemetry) in out.drain(..) {
-        fleet.ingest(id, telemetry);
-    }
-    fleet.process_pending();
-    final_estimates(&fleet)
 }
 
 /// Vandalizes a durability directory the way the given crash point would,
@@ -376,7 +231,10 @@ pub fn run_crash_scenario(
         plan.kill_tick
     );
 
-    let control = run_control(scenario, model, engine);
+    // The control is the scenario's own closed loop, against a plain
+    // engine.
+    let mut control = FleetEngine::new(model.clone(), engine.fleet_config(scenario));
+    drive(scenario, &mut control, &mut NoopObserver);
 
     let config = DurableConfig {
         snapshot_every_ticks: plan.snapshot_every_ticks,
@@ -387,24 +245,19 @@ pub fn run_crash_scenario(
     // Phase 1: the doomed run, up to and including the kill tick's commit.
     let mut sim = SimLoop::build(scenario);
     let mut doomed = DurableFleet::create(
-        FleetEngine::new(model.clone(), fleet_config(scenario, engine)),
+        FleetEngine::new(model.clone(), engine.fleet_config(scenario)),
         config.clone(),
     )?;
-    for (id, cell_config) in sim.configs.clone().into_iter().enumerate() {
-        doomed.register(id as CellId, cell_config);
+    for (id, cell_config) in sim.cells() {
+        doomed.register(id, cell_config);
     }
     let mut out = Vec::new();
-    sim.baseline(&mut out);
-    for (id, telemetry) in out.drain(..) {
-        doomed.ingest(id, telemetry);
-    }
     let kill_step = plan.kill_tick as usize * timing.process_every;
-    for step in 1..=kill_step {
-        sim.step(step, &mut out);
-        for (id, telemetry) in out.drain(..) {
-            doomed.ingest(id, telemetry);
-        }
-        if step % timing.process_every == 0 {
+    for step in 0..=kill_step {
+        let pass_due = sim.step(step, &mut out);
+        doomed.ingest_batch(&out);
+        out.clear();
+        if pass_due {
             doomed.process_pending()?;
         }
     }
@@ -412,9 +265,8 @@ pub fn run_crash_scenario(
     if plan.point == CrashPoint::MidTick {
         // Half a tick in flight: these reports die in the WAL buffer.
         sim.step(kill_step + 1, &mut out);
-        for (id, telemetry) in out.drain(..) {
-            doomed.ingest(id, telemetry);
-        }
+        doomed.ingest_batch(&out);
+        out.clear();
     }
     // The kill: no flush, no shutdown — the process is simply gone.
     drop(doomed);
@@ -429,10 +281,8 @@ pub fn run_crash_scenario(
     let resumed_tick = fleet.tick();
     let resume_step = resumed_tick as usize * timing.process_every;
     let mut sim = SimLoop::build(scenario);
-    sim.baseline(&mut out);
-    out.clear(); // committed long ago
-    for step in 1..=steps {
-        sim.step(step, &mut out);
+    for step in 0..=steps {
+        let pass_due = sim.step(step, &mut out);
         if step <= resume_step {
             // Fast-forward: these deliveries are inside the recovered
             // state; the channels still need to see the traffic so held
@@ -440,24 +290,21 @@ pub fn run_crash_scenario(
             out.clear();
             continue;
         }
-        for (id, telemetry) in out.drain(..) {
-            fleet.ingest(id, telemetry);
-        }
-        if step % timing.process_every == 0 {
+        fleet.ingest_batch(&out);
+        out.clear();
+        if pass_due {
             fleet.process_pending()?;
         }
     }
     sim.flush(&mut out);
-    for (id, telemetry) in out.drain(..) {
-        fleet.ingest(id, telemetry);
-    }
+    fleet.ingest_batch(&out);
     fleet.process_pending()?;
 
     Ok(CrashScenarioRun {
         recovery,
         resumed_tick,
         final_tick: fleet.tick(),
-        control,
+        control: final_estimates(&control),
         recovered: final_estimates(fleet.engine()),
     })
 }

@@ -37,7 +37,9 @@
 //!   itself: a seeded [`CrashPlan`] kills a `pinnsoc_durable::DurableFleet`
 //!   mid-tick / mid-snapshot / mid-rotation, recovers it, finishes the
 //!   scenario, and bit-compares the final estimates against an
-//!   uninterrupted control.
+//!   uninterrupted control. The control is the scenario's own closed loop
+//!   (the one [`run_scenario`] scores), and all three runs replay traffic
+//!   from one seeded derivation of the population and per-cell streams.
 //!
 //! ## Quick example
 //!
@@ -69,8 +71,8 @@ pub use faults::{FaultChannel, FaultCounts, FaultModel};
 pub use gate::{gate_quantized, QuantizedGateConfig, QuantizedGateOutcome};
 pub use report::{EstimatorAccuracy, ScenarioReport, ScenarioResult, TteAccuracy};
 pub use runner::{
-    run_scenario, run_scenario_observed, run_scenario_quantized, EngineSpec, FleetObserver,
-    NoopObserver, ScenarioRunner, ScenarioTiming, ServedModel, SuiteRun,
+    run_scenario, run_scenario_observed, EngineSpec, FleetObserver, NoopObserver, ScenarioRunner,
+    ScenarioTiming, ServedModel, SuiteRun,
 };
 pub use spec::{EnvSchedule, LoadSpec, PopulationSpec, Scenario, Timing};
 pub use suite::{gate_suite, smoke_suite, standard_suite};

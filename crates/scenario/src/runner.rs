@@ -7,7 +7,10 @@
 //! whole suite pool-parallel over the shared [`pinnsoc_runtime`] worker
 //! pool; because each scenario run is a pure function of its spec and the
 //! model, the resulting [`ScenarioReport`] is bit-identical for any worker
-//! count.
+//! count. The generation side (population draws, per-cell load and fault
+//! streams) is derived in one place, `SimLoop`, which the crash harness
+//! (`crate::crash`) builds as well; its uninterrupted control is this
+//! module's own closed loop.
 
 use crate::faults::{FaultChannel, FaultCounts};
 use crate::report::{ErrorStat, ScenarioReport, ScenarioResult, TteAccuracy};
@@ -15,7 +18,7 @@ use crate::spec::{LoadSpec, Scenario};
 use pinnsoc::{QuantizedSocModel, SocModel};
 use pinnsoc_battery::{aged_params, CellSim, Soc, Soh};
 use pinnsoc_cycles::{pulse_train, MixedCycleBuilder, Vehicle};
-use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, Telemetry};
+use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry};
 use pinnsoc_obs::{ObsHub, DURATION_BUCKETS};
 use pinnsoc_runtime::{NoContext, PoolTask, WorkerPool};
 use rand::rngs::StdRng;
@@ -45,6 +48,20 @@ impl Default for EngineSpec {
             shards: 4,
             micro_batch: 64,
             workers: 1,
+        }
+    }
+}
+
+impl EngineSpec {
+    /// The engine configuration `scenario` runs under: these knobs, with
+    /// the population's chemistry as the EKF fallback.
+    pub(crate) fn fleet_config(&self, scenario: &Scenario) -> FleetConfig {
+        FleetConfig {
+            shards: self.shards.max(1),
+            micro_batch: self.micro_batch.max(1),
+            workers: self.workers,
+            ekf_fallback: Some(scenario.population.params.clone()),
+            ..FleetConfig::default()
         }
     }
 }
@@ -297,7 +314,7 @@ fn record_suite(hub: &Arc<ObsHub>, run: &SuiteRun) {
 
 /// Splitmix-style stream derivation so per-cell streams are decorrelated
 /// from the scenario seed and from each other.
-pub(crate) fn cell_stream(seed: u64, cell: u64, salt: u64) -> u64 {
+fn cell_stream(seed: u64, cell: u64, salt: u64) -> u64 {
     seed ^ salt
         ^ (cell
             .wrapping_add(0x9E37_79B9_7F4A_7C15)
@@ -306,7 +323,7 @@ pub(crate) fn cell_stream(seed: u64, cell: u64, salt: u64) -> u64 {
 
 /// Builds one cell's per-step current demand, looping the source profile if
 /// the scenario outlasts it.
-pub(crate) fn cell_currents(scenario: &Scenario, cell: u64) -> Vec<f64> {
+fn cell_currents(scenario: &Scenario, cell: u64) -> Vec<f64> {
     let params = &scenario.population.params;
     let timing = &scenario.timing;
     let steps = timing.steps();
@@ -343,6 +360,114 @@ pub(crate) fn cell_currents(scenario: &Scenario, cell: u64) -> Vec<f64> {
             .into_currents(),
     };
     (0..steps).map(|k| profile[k % profile.len()]).collect()
+}
+
+/// The generation side of one scenario — ground-truth simulators, load
+/// profiles and fault channels — and the only place it is derived. The
+/// population comes from one RNG stream seeded by the scenario seed, loads
+/// and faults from salted per-cell streams, so the traffic is a pure
+/// function of the scenario: every build replays it bit-identically (the
+/// crash harness's continuation relies on that).
+pub(crate) struct SimLoop<'a> {
+    scenario: &'a Scenario,
+    sims: Vec<CellSim>,
+    channels: Vec<FaultChannel>,
+    currents: Vec<Vec<f64>>,
+    configs: Vec<CellConfig>,
+    deliver: Vec<Telemetry>,
+}
+
+impl<'a> SimLoop<'a> {
+    pub(crate) fn build(scenario: &'a Scenario) -> Self {
+        let population = &scenario.population;
+        let mut rng = StdRng::seed_from_u64(scenario.seed);
+        let uniform = |rng: &mut StdRng, (lo, hi): (f64, f64)| lo + (hi - lo) * rng.gen::<f64>();
+        let ambient0 = scenario
+            .environment
+            .ambient_at(0.0, scenario.timing.duration_s);
+        let cells = population.cells;
+        let mut sims = Vec::with_capacity(cells);
+        let mut channels = Vec::with_capacity(cells);
+        let mut currents = Vec::with_capacity(cells);
+        let mut configs = Vec::with_capacity(cells);
+        for id in 0..cells as u64 {
+            let soh = Soh::new(uniform(&mut rng, population.soh)).expect("validated range");
+            let initial_soc = uniform(&mut rng, population.initial_soc);
+            let aged = aged_params(&population.params, soh);
+            sims.push(CellSim::new(
+                aged.clone(),
+                Soc::clamped(initial_soc),
+                ambient0,
+            ));
+            channels.push(FaultChannel::new(
+                scenario.faults,
+                cell_stream(scenario.seed, id, 0xFA17),
+            ));
+            currents.push(cell_currents(scenario, id));
+            configs.push(CellConfig {
+                initial_soc,
+                capacity_ah: aged.capacity_ah,
+            });
+        }
+        Self {
+            scenario,
+            sims,
+            channels,
+            currents,
+            configs,
+            deliver: Vec::new(),
+        }
+    }
+
+    /// Every cell's id and registration config, in id order.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (CellId, CellConfig)> + '_ {
+        (0..).zip(self.configs.iter().cloned())
+    }
+
+    /// Generates telemetry step `step` and appends the fault-mangled
+    /// deliveries to `out` in cell order. Step 0 is the rest-state baseline
+    /// report at t = 0 (a BMS announces itself before drawing load);
+    /// without it the engine's integrators would skip the first interval,
+    /// leaving a permanent one-step Coulomb offset. Later steps advance
+    /// every simulator by `dt`. The simulators never read the engine, so a
+    /// step's deliveries can be ingested as one batch. Returns whether the
+    /// scenario runs a processing pass after this step.
+    pub(crate) fn step(&mut self, step: usize, out: &mut Vec<(CellId, Telemetry)>) -> bool {
+        let timing = &self.scenario.timing;
+        let t = step as f64 * timing.dt_s;
+        let ambient = self.scenario.environment.ambient_at(t, timing.duration_s);
+        for (i, sim) in self.sims.iter_mut().enumerate() {
+            let report = if step == 0 {
+                Telemetry {
+                    time_s: 0.0,
+                    voltage_v: sim.terminal_voltage_if(0.0),
+                    current_a: 0.0,
+                    temperature_c: sim.state().temperature_c,
+                }
+            } else {
+                sim.set_ambient_c(ambient);
+                let record = sim.step(self.currents[i][step - 1], timing.dt_s);
+                Telemetry {
+                    time_s: t,
+                    voltage_v: record.voltage_v,
+                    current_a: record.current_a,
+                    temperature_c: record.temperature_c,
+                }
+            };
+            self.channels[i].transmit(report, &mut self.deliver);
+            out.extend(self.deliver.drain(..).map(|frame| (i as CellId, frame)));
+        }
+        step > 0 && step.is_multiple_of(timing.process_every)
+    }
+
+    /// End of stream: reports still held by reordering channels arrive now
+    /// (the delayed packet shows up late rather than vanishing).
+    pub(crate) fn flush(&mut self, out: &mut Vec<(CellId, Telemetry)>) {
+        for (i, channel) in self.channels.iter_mut().enumerate() {
+            channel.flush(&mut self.deliver);
+            out.extend(self.deliver.drain(..).map(|frame| (i as CellId, frame)));
+        }
+    }
 }
 
 /// Observer hook into a closed-loop scenario run: called with the live
@@ -395,27 +520,10 @@ pub fn run_scenario_observed(
     )
 }
 
-/// [`run_scenario`] against a quantized candidate on the calling thread.
-///
-/// # Panics
-///
-/// Panics if the scenario is invalid.
-pub fn run_scenario_quantized(
-    scenario: &Scenario,
-    quantized: &Arc<QuantizedSocModel>,
-    engine: &EngineSpec,
-) -> ScenarioResult {
-    run_scenario_served(
-        scenario,
-        &ServedModel::Int8(Arc::clone(quantized)),
-        engine,
-        &mut NoopObserver,
-    )
-}
-
-/// The one closed loop behind every `run_scenario*` entry point: the
-/// served model decides only how the scenario's [`FleetEngine`] is built —
-/// simulation, fault injection, and scoring never branch on it.
+/// The entry point behind every `run_scenario*` function and the suite
+/// runner: the served model decides only how the scenario's
+/// [`FleetEngine`] is built — simulation, fault injection, and scoring
+/// never branch on it.
 ///
 /// # Panics
 ///
@@ -427,48 +535,25 @@ pub fn run_scenario_served(
     observer: &mut dyn FleetObserver,
 ) -> ScenarioResult {
     scenario.validate();
-    let population = &scenario.population;
-    let timing = &scenario.timing;
-    let cells = population.cells;
+    let mut fleet = served.make_fleet(engine.fleet_config(scenario));
+    drive(scenario, &mut fleet, observer)
+}
 
-    // Population draws come from one stream so the fleet composition is a
-    // function of the scenario seed alone.
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    let uniform = |rng: &mut StdRng, (lo, hi): (f64, f64)| lo + (hi - lo) * rng.gen::<f64>();
-    let ambient0 = scenario.environment.ambient_at(0.0, timing.duration_s);
-    let mut sims = Vec::with_capacity(cells);
-    let mut capacities = Vec::with_capacity(cells);
-    let mut channels = Vec::with_capacity(cells);
-    let mut currents = Vec::with_capacity(cells);
-    let mut fleet = served.make_fleet(FleetConfig {
-        shards: engine.shards.max(1),
-        micro_batch: engine.micro_batch.max(1),
-        workers: engine.workers,
-        ekf_fallback: Some(population.params.clone()),
-        ..FleetConfig::default()
-    });
-    for id in 0..cells as u64 {
-        let soh = Soh::new(uniform(&mut rng, population.soh)).expect("validated range");
-        let initial_soc = uniform(&mut rng, population.initial_soc);
-        let aged = aged_params(&population.params, soh);
-        sims.push(CellSim::new(
-            aged.clone(),
-            Soc::clamped(initial_soc),
-            ambient0,
-        ));
-        capacities.push(aged.capacity_ah);
-        channels.push(FaultChannel::new(
-            scenario.faults,
-            cell_stream(scenario.seed, id, 0xFA17),
-        ));
-        currents.push(cell_currents(scenario, id));
-        fleet.register(
-            id,
-            CellConfig {
-                initial_soc,
-                capacity_ah: aged.capacity_ah,
-            },
-        );
+/// The one closed loop: registers the scenario's cells on a fresh `fleet`,
+/// feeds it every step's deliveries, runs and scores a pass every
+/// `process_every` steps, then delivers the channels' held reports, runs a
+/// final pass and scores time-to-empty. [`run_scenario_served`] and the
+/// crash harness's uninterrupted control both run exactly this.
+pub(crate) fn drive(
+    scenario: &Scenario,
+    fleet: &mut FleetEngine,
+    observer: &mut dyn FleetObserver,
+) -> ScenarioResult {
+    let timing = &scenario.timing;
+    let cells = scenario.population.cells;
+    let mut sim = SimLoop::build(scenario);
+    for (id, config) in sim.cells() {
+        fleet.register(id, config);
     }
 
     let mut best = ErrorStat::default();
@@ -477,55 +562,18 @@ pub fn run_scenario_served(
     let mut ekf = ErrorStat::default();
     let mut unscored = 0u64;
     let mut ticks = 0usize;
-    let mut reports_generated = 0u64;
     let mut reports_delivered = 0u64;
-    let mut deliver = Vec::new();
-    // Rest-state baseline report at t = 0 (a BMS announces itself before
-    // drawing load). Without it the engine's integrators would skip the
-    // first interval: the report at t = dt would arrive with nothing to
-    // integrate against, leaving a permanent one-step Coulomb offset.
-    for (i, sim) in sims.iter().enumerate() {
-        reports_generated += 1;
-        channels[i].transmit(
-            Telemetry {
-                time_s: 0.0,
-                voltage_v: sim.terminal_voltage_if(0.0),
-                current_a: 0.0,
-                temperature_c: sim.state().temperature_c,
-            },
-            &mut deliver,
-        );
-        for report in deliver.drain(..) {
-            reports_delivered += 1;
-            fleet.ingest(i as u64, report);
-        }
-    }
-    for step in 1..=timing.steps() {
-        let t = step as f64 * timing.dt_s;
-        let ambient = scenario.environment.ambient_at(t, timing.duration_s);
-        for (i, sim) in sims.iter_mut().enumerate() {
-            sim.set_ambient_c(ambient);
-            let record = sim.step(currents[i][step - 1], timing.dt_s);
-            reports_generated += 1;
-            channels[i].transmit(
-                Telemetry {
-                    time_s: t,
-                    voltage_v: record.voltage_v,
-                    current_a: record.current_a,
-                    temperature_c: record.temperature_c,
-                },
-                &mut deliver,
-            );
-            for report in deliver.drain(..) {
-                reports_delivered += 1;
-                fleet.ingest(i as u64, report);
-            }
-        }
-        if step % timing.process_every == 0 {
+    let mut out = Vec::new();
+    for step in 0..=timing.steps() {
+        let pass_due = sim.step(step, &mut out);
+        reports_delivered += out.len() as u64;
+        fleet.ingest_batch(&out);
+        out.clear();
+        if pass_due {
             fleet.process_pending();
             ticks += 1;
-            for (i, sim) in sims.iter().enumerate() {
-                let truth = sim.state().soc.value();
+            for (i, cell) in sim.sims.iter().enumerate() {
+                let truth = cell.state().soc.value();
                 match fleet.estimate_breakdown(i as u64) {
                     Some(b) => {
                         best.add(b.best.0 - truth);
@@ -540,39 +588,33 @@ pub fn run_scenario_served(
                     None => unscored += 1,
                 }
             }
-            observer.after_tick(&fleet, ticks, t);
+            observer.after_tick(fleet, ticks, step as f64 * timing.dt_s);
         }
     }
 
-    // End of stream: reports still held by reordering channels arrive now
-    // (the delayed packet shows up late rather than vanishing), and one
-    // final unconditional pass coalesces everything still pending — both
+    // One final unconditional pass coalesces everything still pending —
     // the flushed holds and any tail steps past the last scoring tick when
     // `steps` is not divisible by `process_every`. Without it the report's
     // telemetry books would miss those reports and the end-of-run TTE would
     // be scored from stale estimates. Absorbed outside the scored ticks —
     // this pass refreshes accounting, not accuracy samples.
-    for (i, channel) in channels.iter_mut().enumerate() {
-        channel.flush(&mut deliver);
-        for report in deliver.drain(..) {
-            reports_delivered += 1;
-            fleet.ingest(i as u64, report);
-        }
-    }
+    sim.flush(&mut out);
+    reports_delivered += out.len() as u64;
+    fleet.ingest_batch(&out);
     fleet.process_pending();
 
     // Time-to-empty at the scenario's end, against the simulator's true
     // remaining charge, at a 1C (fresh-capacity) reference discharge.
-    let reference_a = population.params.c_rate(1.0);
+    let reference_a = scenario.population.params.c_rate(1.0);
     let mut tte_sum = 0.0;
     let mut tte_max = 0.0f64;
     let mut tte_count = 0u64;
     let mut true_soc_sum = 0.0;
-    for (i, sim) in sims.iter().enumerate() {
-        let truth = sim.state().soc.value();
+    for (i, (cell, config)) in sim.sims.iter().zip(&sim.configs).enumerate() {
+        let truth = cell.state().soc.value();
         true_soc_sum += truth;
         if let Some(predicted) = fleet.time_to_empty(i as u64, reference_a) {
-            let actual = truth * 3600.0 * capacities[i] / reference_a;
+            let actual = truth * 3600.0 * config.capacity_ah / reference_a;
             let error = (predicted - actual).abs();
             tte_sum += error;
             tte_max = tte_max.max(error);
@@ -581,7 +623,7 @@ pub fn run_scenario_served(
     }
 
     let mut injected = FaultCounts::default();
-    for channel in &channels {
+    for channel in &sim.channels {
         injected.accumulate(&channel.counts);
     }
     ScenarioResult {
@@ -589,7 +631,8 @@ pub fn run_scenario_served(
         seed: scenario.seed,
         cells,
         ticks,
-        reports_generated,
+        // Every cell reports once at t = 0 and once per step.
+        reports_generated: (cells * (timing.steps() + 1)) as u64,
         reports_delivered,
         injected,
         telemetry: fleet.telemetry_stats(),

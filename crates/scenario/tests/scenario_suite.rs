@@ -238,3 +238,14 @@ fn observed_suite_is_bit_identical_and_records_series() {
     assert_eq!(events.len(), 1, "one suite-completion event");
     assert!(events[0].message.contains("suite of"));
 }
+
+/// The smoke suite's report at seed 2024, as committed: the closed loop
+/// may change how it runs a scenario, never what it reports. Identical on
+/// every kernel path.
+#[test]
+fn smoke_report_matches_the_committed_fixture() {
+    const FIXTURE: &str = include_str!("fixtures/smoke_2024_report.json");
+    let run = ScenarioRunner::default().run(&smoke_suite(2024), &untrained_model());
+    let json = serde_json::to_string(&run.report).expect("report serializes");
+    assert_eq!(format!("{json}\n"), FIXTURE);
+}

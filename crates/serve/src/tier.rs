@@ -716,11 +716,6 @@ impl ServeTier {
         self.lanes.len()
     }
 
-    /// Ticks completed.
-    pub fn tick_count(&self) -> u64 {
-        self.tick
-    }
-
     /// The tier's configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
