@@ -137,6 +137,54 @@ pub struct EstimateBreakdown {
     pub ekf_soc_std: Option<f64>,
 }
 
+/// One cell's estimates in 40 bytes: the raw per-estimator values its
+/// [`EstimateBreakdown`] (80 bytes) expands from, and the one place the
+/// best-estimate policy lives. A layer that keeps every cell's estimates
+/// between passes (the serve tier's lanes) stores these.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EstimateEntry {
+    /// Latest network estimate, clamped into `[0, 1]`; meaningful only
+    /// with `has_network`.
+    network: f64,
+    coulomb: f64,
+    /// EKF SoC and its one-sigma uncertainty; meaningful only with
+    /// `has_ekf`.
+    ekf: f64,
+    ekf_soc_std: f64,
+    has_network: bool,
+    network_fresh: bool,
+    has_ekf: bool,
+}
+
+impl EstimateEntry {
+    /// The best estimate and its source: the network estimate when it
+    /// covers the latest telemetry, otherwise the EKF (when enabled),
+    /// otherwise the Coulomb integral.
+    #[inline]
+    pub fn best(&self) -> (f64, SocEstimate) {
+        if self.network_fresh {
+            (self.network, SocEstimate::Network)
+        } else if self.has_ekf {
+            (self.ekf, SocEstimate::Ekf)
+        } else {
+            (self.coulomb, SocEstimate::Coulomb)
+        }
+    }
+
+    /// The full per-estimator breakdown.
+    #[inline]
+    pub fn breakdown(&self) -> EstimateBreakdown {
+        EstimateBreakdown {
+            best: self.best(),
+            network: self.has_network.then_some(self.network),
+            network_fresh: self.network_fresh,
+            coulomb: self.coulomb,
+            ekf: self.has_ekf.then_some(self.ekf),
+            ekf_soc_std: self.has_ekf.then_some(self.ekf_soc_std),
+        }
+    }
+}
+
 /// Sentinel for "no network estimate yet" — strictly older than any finite
 /// telemetry timestamp, so the freshness check needs no separate flag.
 const NO_ESTIMATE: f64 = f64::NEG_INFINITY;
@@ -320,37 +368,37 @@ impl CellStore {
         self.net_soc[slot] = soc;
     }
 
-    /// The best current SoC estimate and its source: the network estimate
-    /// when it covers the latest telemetry, otherwise the EKF (when
-    /// enabled), otherwise the Coulomb integral. `None` until any telemetry
-    /// has been accepted.
+    /// The best current SoC estimate and its source (see
+    /// [`EstimateEntry::best`]). `None` until any telemetry has been
+    /// accepted.
     pub fn estimate(&self, slot: usize) -> Option<(f64, SocEstimate)> {
-        if self.reports[slot] == 0 {
-            return None;
-        }
-        if self.net_time_s[slot] >= self.time_s[slot] {
-            // The network output is an unclamped regression value; keep
-            // fleet aggregates (histograms, time-to-empty) in-range.
-            return Some((self.net_soc[slot].clamp(0.0, 1.0), SocEstimate::Network));
-        }
-        if let Some(ekf) = self.ekf.get(slot) {
-            return Some((ekf.soc().value(), SocEstimate::Ekf));
-        }
-        Some((self.coulomb[slot].soc().value(), SocEstimate::Coulomb))
+        self.entry(slot).map(|entry| entry.best())
     }
 
     /// Per-estimator breakdown of the slot's current estimates, or `None`
     /// until any telemetry has been accepted.
     pub fn breakdown(&self, slot: usize) -> Option<EstimateBreakdown> {
-        let best = self.estimate(slot)?;
-        let has_network = self.net_time_s[slot] > NO_ESTIMATE;
-        Some(EstimateBreakdown {
-            best,
-            network: has_network.then(|| self.net_soc[slot].clamp(0.0, 1.0)),
-            network_fresh: self.net_time_s[slot] >= self.time_s[slot],
+        self.entry(slot).map(|entry| entry.breakdown())
+    }
+
+    /// The slot's current estimates in compact form, or `None` until any
+    /// telemetry has been accepted.
+    #[inline]
+    pub fn entry(&self, slot: usize) -> Option<EstimateEntry> {
+        if self.reports[slot] == 0 {
+            return None;
+        }
+        let ekf = self.ekf.get(slot);
+        Some(EstimateEntry {
+            // The network output is an unclamped regression value; keep
+            // fleet aggregates (histograms, time-to-empty) in-range.
+            network: self.net_soc[slot].clamp(0.0, 1.0),
             coulomb: self.coulomb[slot].soc().value(),
-            ekf: self.ekf.get(slot).map(|e| e.soc().value()),
-            ekf_soc_std: self.ekf.get(slot).map(|e| e.soc_std()),
+            ekf: ekf.map_or(0.0, |e| e.soc().value()),
+            ekf_soc_std: ekf.map_or(0.0, EkfEstimator::soc_std),
+            has_network: self.net_time_s[slot] > NO_ESTIMATE,
+            network_fresh: self.net_time_s[slot] >= self.time_s[slot],
+            has_ekf: ekf.is_some(),
         })
     }
 

@@ -2,7 +2,8 @@
 //! fleet-level queries.
 
 use crate::cell::{
-    AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown, SocEstimate,
+    AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown,
+    EstimateEntry, SocEstimate,
 };
 use crate::id_index::IdIndex;
 use crate::obs::{EngineObs, EngineTracer, FleetMetricIds, ShardObs, ShardTracer};
@@ -280,11 +281,12 @@ pub(crate) struct Shard {
     estimates: Vec<f64>,
     /// Reused list of slots touched since the last pass (same
     /// zero-steady-state-allocation rationale as `scratch`), populated
-    /// incrementally by [`Shard::absorb_one`] at ingest.
+    /// incrementally by [`Shard::absorb_one`] at ingest, in arrival order,
+    /// and put in slot order when the pass starts.
     dirty: Vec<u32>,
-    /// The slots the most recent pass estimated (empty when the pass
-    /// skipped this shard): last pass's `dirty`, swapped in rather than
-    /// cleared, so keeping it costs no allocation.
+    /// The slots the most recent pass estimated, in slot order (empty when
+    /// the pass skipped this shard): last pass's `dirty`, swapped in rather
+    /// than cleared, so keeping it costs no allocation.
     changed: Vec<u32>,
     /// Cells whose first report this shard has accepted (a membership
     /// event: the cell joins the reporting set).
@@ -366,6 +368,7 @@ impl Shard {
         // The tracer reuses the pass's existing stage marks — first mark
         // is the pass start, last mark is the pass end.
         let pass_start = mark;
+        self.sort_dirty();
         for batch in self.dirty.chunks(micro_batch) {
             // Gather: normalized features straight from the SoA telemetry
             // arrays into the batch input matrix — no per-cell struct hops.
@@ -413,6 +416,24 @@ impl Shard {
             tracer.record_pass(&stage, pass_start, mark);
         }
         (absorbed, estimated)
+    }
+
+    /// Puts the dirty list in slot order, so gather, scatter and the
+    /// `changed` list walk the SoA columns front to back instead of in
+    /// arrival order. Rows are estimated independently, so the order
+    /// changes no estimate. A dense list is rebuilt from the generation
+    /// tags (one linear scan, cheaper than a comparison sort); a sparse one
+    /// is sorted.
+    fn sort_dirty(&mut self) {
+        let cells = self.cells.len();
+        if self.dirty.len() * 8 >= cells {
+            let (tags, generation) = (&self.cells.dirty_generation, self.generation);
+            self.dirty.clear();
+            self.dirty
+                .extend((0..cells as u32).filter(|&slot| tags[slot as usize] == generation));
+        } else {
+            self.dirty.sort_unstable();
+        }
     }
 
     /// Folds one report into the cell store, the telemetry books, and the
@@ -1203,21 +1224,37 @@ impl FleetEngine {
     }
 
     /// Calls `f` with the position of every cell the most recent
-    /// [`Self::process_pending`] estimated, shard by shard. Every change to
-    /// a cell's breakdown goes through ingest (which marks the cell for
-    /// the next pass; rejected reports change nothing) or through the pass
+    /// [`Self::process_pending`] estimated, in position order (each
+    /// shard's pass walks its cells in slot order). Every change to a
+    /// cell's breakdown goes through ingest (which marks the cell for the
+    /// next pass; rejected reports change nothing) or through the pass
     /// itself, so after `ingest`/`ingest_batch` + `process_pending` this
     /// visits every cell whose breakdown changed. A cell deregistered since
-    /// is dropped from the list.
+    /// is dropped from the list, and the cell moved into its slot keeps
+    /// its entry, out of order.
     pub fn for_each_changed(&self, mut f: impl FnMut(usize)) {
-        let mut start = 0;
-        for idx in 0..self.shards.len() {
-            let shard = self.shard(idx);
-            for &slot in &shard.changed {
-                f(start + slot as usize);
+        self.for_each_changed_slot(|position, _, _| f(position));
+    }
+
+    /// [`Self::for_each_changed`] with each cell's estimates: equal, once
+    /// expanded, to [`Self::breakdown_at`] for the same position, but read
+    /// shard by shard without a position lookup per cell.
+    pub fn for_each_changed_entry(&self, mut f: impl FnMut(usize, EstimateEntry)) {
+        self.for_each_changed_slot(|position, cells, slot| {
+            if let Some(entry) = cells.entry(slot) {
+                f(position, entry);
             }
-            start += shard.cells.len();
-        }
+        });
+    }
+
+    /// Calls `f` with the position and estimates of every reporting cell,
+    /// in position order.
+    pub fn for_each_entry(&self, mut f: impl FnMut(usize, EstimateEntry)) {
+        self.for_each_slot(|position, cells, slot| {
+            if let Some(entry) = cells.entry(slot) {
+                f(position, entry);
+            }
+        });
     }
 
     /// Calls `f` with the position and id of every reporting cell, in
@@ -1256,6 +1293,19 @@ impl FleetEngine {
                 f(start + slot, cells, slot);
             }
             start += cells.len();
+        }
+    }
+
+    /// Calls `f` with the position, store and slot of every cell on the
+    /// shards' `changed` lists, shard by shard.
+    fn for_each_changed_slot(&self, mut f: impl FnMut(usize, &CellStore, usize)) {
+        let mut start = 0;
+        for idx in 0..self.shards.len() {
+            let shard = self.shard(idx);
+            for &slot in &shard.changed {
+                f(start + slot as usize, &shard.cells, slot as usize);
+            }
+            start += shard.cells.len();
         }
     }
 }

@@ -67,7 +67,8 @@ pub mod registry;
 pub mod telemetry;
 
 pub use cell::{
-    AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown, SocEstimate,
+    AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown,
+    EstimateEntry, SocEstimate,
 };
 pub use engine::{
     soc_histogram, FleetConfig, FleetEngine, FleetStats, ServingMode, StageTimes, TelemetryStats,

@@ -7,9 +7,12 @@
 //! Three engines see the same history: one fed each tick as an
 //! `ingest_batch` with `workers: 0` (auto), one fed frame by frame, and
 //! one fed batches with `workers: 2`. Their changed lists must agree entry
-//! for entry. Batches mix accepted, duplicate-stamp, time-reversed,
-//! non-finite and unknown-id frames, with registers and deregisters
-//! between ticks and a hot model swap now and then.
+//! for entry, come out in position order (each shard's in slot order), and
+//! [`FleetEngine::for_each_changed_entry`] must yield, for every changed
+//! position, exactly what [`FleetEngine::breakdown_at`] reads there.
+//! Batches mix accepted, duplicate-stamp, time-reversed, non-finite and
+//! unknown-id frames, with registers and deregisters between ticks and a
+//! hot model swap now and then.
 
 use pinnsoc_battery::CellParams;
 use pinnsoc_fleet::testing::{untrained_model, untrained_model_seeded};
@@ -77,6 +80,27 @@ fn changed(engine: &FleetEngine) -> Vec<usize> {
     let mut out = Vec::new();
     engine.for_each_changed(|position| out.push(position));
     out
+}
+
+/// Positions with their breakdowns, bit-exact.
+type PositionBits = Vec<(usize, [u64; 7])>;
+
+/// The changed-entry seam's positions and expanded entries, and
+/// `breakdown_at` at each of those positions.
+fn changed_entries(engine: &FleetEngine) -> (PositionBits, PositionBits) {
+    let mut seam = Vec::new();
+    engine
+        .for_each_changed_entry(|position, entry| seam.push((position, bits(&entry.breakdown()))));
+    let by_position = changed(engine)
+        .into_iter()
+        .map(|position| {
+            let breakdown = engine
+                .breakdown_at(position)
+                .expect("a changed cell has reported");
+            (position, bits(&breakdown))
+        })
+        .collect();
+    (seam, by_position)
 }
 
 /// What one generated frame is bound to do.
@@ -193,6 +217,17 @@ fn run_case(seed: u64, shards: usize, ekf: bool) {
         let lists: Vec<Vec<usize>> = engines.iter().map(changed).collect();
         assert_eq!(lists[0], lists[1], "{ctx}: batched vs per-frame");
         assert_eq!(lists[0], lists[2], "{ctx}: workers 0 vs 2");
+        // Shards come in order and each pass walks its slots in order, so
+        // the positions ascend.
+        assert!(
+            lists[0].windows(2).all(|w| w[0] < w[1]),
+            "{ctx}: changed list out of slot order: {:?}",
+            lists[0]
+        );
+        for (which, engine) in engines.iter().enumerate() {
+            let (seam, by_position) = changed_entries(engine);
+            assert_eq!(seam, by_position, "{ctx}: engine {which}: changed entries");
+        }
         let ids = engines[0].ids();
         let changed_ids: BTreeSet<CellId> = lists[0].iter().map(|&p| ids[p]).collect();
         assert_eq!(changed_ids.len(), lists[0].len(), "{ctx}: listed once each");

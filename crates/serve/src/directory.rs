@@ -1,12 +1,20 @@
 //! The tier's id directory: where each reporting cell lands in the
 //! id-sorted snapshot, kept across ticks so a steady tick writes only the
-//! cells that changed.
+//! cells that changed, and the lanes' estimate buffers it reads them from.
 //!
-//! [`ServeTier::tick`](crate::ServeTier::tick) publishes every live
-//! engine's reporting cells in id order. The directory maps each cell's
-//! engine position (shard-then-slot order, see
-//! [`FleetEngine::breakdown_at`]) to its rank in id order, and each rank
-//! back to its lane and position. Positions and ranks hold while no lane's
+//! Each lane keeps its engine's estimates in a [`LaneEstimates`] buffer,
+//! one compact [`EstimateEntry`] per engine position (shard-then-slot
+//! order, see [`FleetEngine::breakdown_at`]). The lane's own task refreshes
+//! it right after its pass, in parallel with the other lanes: only the
+//! positions the pass changed, read shard by shard in slot order, or every
+//! position when the buffer is not known to be current (first tick, a
+//! membership change, a failed pass, a recovered lane).
+//!
+//! [`ServeTier::tick`](crate::ServeTier::tick) then publishes every live
+//! lane's reporting cells in id order, on the tick thread, without reading
+//! the engines' cell state. The directory maps each cell's engine position
+//! to its rank in id order, and each rank back to its lane and position.
+//! Positions and ranks hold while no lane's
 //! [`FleetEngine::membership_epoch`] moves and no lane goes down or comes
 //! back, so a tick takes one of two paths:
 //!
@@ -14,13 +22,13 @@
 //!   cells its pass just estimated; their ranks are set in a rank bitmap.
 //!   The buffer being refilled is the one published two ticks ago, so it
 //!   also misses the previous tick's changes, kept in a second bitmap. One
-//!   walk over the union of both bitmaps, in rank order, reads this tick's
-//!   ranks from the engines and copies last tick's from the current
-//!   snapshot. The writes are sequential, so a tick where every cell
-//!   changes does the work of a full sweep, and a tick where a few hundred
-//!   change touches only those. If a reader still holds that buffer, the
-//!   tick starts from a copy of the current snapshot instead and patches
-//!   this tick's ranks only.
+//!   merge over the union of both bitmaps, in rank order, expands this
+//!   tick's ranks from the lane buffers and copies last tick's from the
+//!   current snapshot. The writes are sequential, so a tick where every
+//!   cell changes does the work of a full sweep, and a tick where a few
+//!   hundred change touches only those. If a reader still holds that
+//!   buffer, the tick starts from a copy of the current snapshot instead
+//!   and patches this tick's ranks only.
 //! - **Rebuild.** On the first tick, when an epoch moved (register,
 //!   deregister, a cell's first report, an import), when a lane went down
 //!   or came back, or when the tier asks for one (a recovered lane, or a
@@ -28,20 +36,20 @@
 //!   changed lists), the directory sweeps every live lane's reporting
 //!   positions into 16-byte (id, lane, position) records and sorts them by
 //!   id. That order is the new rank order; every rank is then read from the
-//!   engines by the same walk.
+//!   lane buffers by the same merge.
 //!
 //! Either way the buffer ends id-ascending with exactly the live engines'
 //! reporting cells, so the snapshot and its aggregates do not depend on
 //! which path ran.
 
 use crate::snapshot::ServeSnapshot;
-use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetEngine, SocEstimate};
+use pinnsoc_fleet::{CellId, EstimateBreakdown, EstimateEntry, FleetEngine, SocEstimate};
 use std::sync::Arc;
 
 /// One snapshot entry.
 type Entry = (CellId, EstimateBreakdown);
 
-/// Placeholder for buffer slots the walk is about to overwrite.
+/// Placeholder for buffer slots the merge is about to overwrite.
 const VACANT: Entry = (
     0,
     EstimateBreakdown {
@@ -56,6 +64,54 @@ const VACANT: Entry = (
 
 /// Rank of a position whose cell has not reported.
 const NO_RANK: u32 = u32::MAX;
+
+/// One lane's estimates by engine position, kept by the lane's task.
+#[derive(Debug, Default)]
+pub(crate) struct LaneEstimates {
+    /// One entry per engine position; positions whose cell has not
+    /// reported hold a placeholder.
+    entries: Vec<EstimateEntry>,
+    /// The engine's membership epoch when `entries` were last brought up
+    /// to date, or `None` while they are not known to be current.
+    epoch: Option<u64>,
+}
+
+impl LaneEstimates {
+    /// Marks the entries stale ahead of anything that may change the
+    /// engine without a [`Self::refresh`] after it (a pass that can fail,
+    /// a new engine), and returns the epoch they were current at.
+    pub(crate) fn invalidate(&mut self) -> Option<u64> {
+        self.epoch.take()
+    }
+
+    /// Makes room for an engine of `cells` cells. The tier calls this on
+    /// the tick thread before the lane's task runs, so the buffer comes
+    /// from the tier thread's allocator arena. Grown by a lane-pool helper
+    /// instead, it cost ≈ 2 MB more peak RSS (four lanes of 25k cells,
+    /// glibc): memory freed into a helper's arena is not reused by other
+    /// threads.
+    pub(crate) fn reserve(&mut self, cells: usize) {
+        self.entries
+            .reserve_exact(cells.saturating_sub(self.entries.len()));
+    }
+
+    /// Brings the entries up to date after the engine's pass. If they were
+    /// current at the engine's present epoch (`known`, from
+    /// [`Self::invalidate`]), positions held and only the cells the pass
+    /// changed are rewritten; otherwise every position is.
+    pub(crate) fn refresh(&mut self, engine: &FleetEngine, known: Option<u64>) {
+        let epoch = engine.membership_epoch();
+        let entries = &mut self.entries;
+        if known != Some(epoch) {
+            entries.clear();
+            entries.resize(engine.len(), EstimateEntry::default());
+            engine.for_each_entry(|position, entry| entries[position] = entry);
+        } else {
+            engine.for_each_changed_entry(|position, entry| entries[position] = entry);
+        }
+        self.epoch = Some(epoch);
+    }
+}
 
 /// Where the cell at one rank lives.
 #[derive(Debug, Clone, Copy)]
@@ -91,23 +147,24 @@ pub(crate) struct Placed {
     pub(crate) socs: Vec<f64>,
     /// Whether the ranks were rebuilt.
     pub(crate) rebuilt: bool,
-    /// Ranks read from the engines (every rank on a rebuild).
+    /// Ranks read from the lane buffers (every rank on a rebuild).
     pub(crate) read: usize,
 }
 
 impl IdDirectory {
-    /// Places this tick's cells, given each lane's engine (`None` while
-    /// down), the `current` snapshot (published last tick), and the
-    /// buffers published the tick before, if no reader still holds them.
-    /// `rebuild` forces a rebuild.
+    /// Places this tick's cells, given each lane's engine and refreshed
+    /// estimates (`None` while down), the `current` snapshot (published
+    /// last tick), and the buffers published the tick before, if no reader
+    /// still holds them. `rebuild` forces a rebuild.
     pub(crate) fn place<'e>(
         &mut self,
         lanes: usize,
-        engine: impl Fn(usize) -> Option<&'e FleetEngine>,
+        live: impl Fn(usize) -> Option<(&'e FleetEngine, &'e LaneEstimates)>,
         current: &ServeSnapshot,
         reclaimed: Option<ServeSnapshot>,
         rebuild: bool,
     ) -> Placed {
+        let engine = |lane| live(lane).map(|(engine, _)| engine);
         let rebuild = rebuild
             || self.epochs.len() != lanes
             || (0..lanes)
@@ -124,6 +181,20 @@ impl IdDirectory {
                 });
             }
         }
+        // Each live lane's estimates, current at the epoch just ranked.
+        let estimates: Vec<&[EstimateEntry]> = (0..lanes)
+            .map(|lane| match live(lane) {
+                Some((engine, estimates)) => {
+                    debug_assert_eq!(
+                        estimates.epoch,
+                        Some(engine.membership_epoch()),
+                        "lane {lane} publishes a stale estimate buffer"
+                    );
+                    &estimates.entries[..]
+                }
+                None => &[],
+            })
+            .collect();
         let (mut cells, mut socs) = match reclaimed {
             Some(snapshot) => (snapshot.cells, snapshot.socs),
             None if rebuild => Default::default(),
@@ -148,9 +219,7 @@ impl IdDirectory {
                 let rank = word * 64 + bit as usize;
                 if fresh >> bit & 1 == 1 {
                     let at = self.locations[rank];
-                    let breakdown = engine(at.lane as usize)
-                        .and_then(|engine| engine.breakdown_at(at.position as usize))
-                        .expect("a ranked cell is live and reporting");
+                    let breakdown = estimates[at.lane as usize][at.position as usize].breakdown();
                     cells[rank] = (self.ids[rank], breakdown);
                     socs[rank] = breakdown.best.0;
                 } else {
@@ -250,10 +319,11 @@ mod tests {
         );
     }
 
-    /// One tier's worth of state: the directory, the published snapshot
-    /// and the one before it.
+    /// One tier's worth of state: the directory, each lane's estimates,
+    /// the published snapshot and the one before it.
     struct Tier {
         dir: IdDirectory,
+        estimates: Vec<LaneEstimates>,
         current: ServeSnapshot,
         displaced: Option<ServeSnapshot>,
     }
@@ -262,22 +332,32 @@ mod tests {
         fn new() -> Self {
             Tier {
                 dir: IdDirectory::default(),
+                estimates: Vec::new(),
                 current: ServeSnapshot::empty(),
                 displaced: None,
             }
         }
 
-        /// Runs each engine's pass, places and publishes, checks the
-        /// snapshot against a sweep-and-sort build, and returns whether
-        /// the directory rebuilt and how many ranks it read.
+        /// Runs each engine's pass and refreshes its lane's estimates,
+        /// places and publishes, checks the snapshot against a
+        /// sweep-and-sort build, and returns whether the directory rebuilt
+        /// and how many ranks it read.
         fn tick(&mut self, engines: &mut [Option<FleetEngine>], pinned: bool) -> (bool, usize) {
-            for engine in engines.iter_mut().flatten() {
-                engine.process_pending();
+            self.estimates
+                .resize_with(engines.len(), LaneEstimates::default);
+            for (engine, estimates) in engines.iter_mut().zip(&mut self.estimates) {
+                // A lane that is down comes back with a new engine.
+                let known = estimates.invalidate();
+                if let Some(engine) = engine {
+                    engine.process_pending();
+                    estimates.refresh(engine, known);
+                }
             }
             let reclaimed = if pinned { None } else { self.displaced.take() };
+            let estimates = &self.estimates;
             let placed = self.dir.place(
                 engines.len(),
-                |lane| engines[lane].as_ref(),
+                |lane| engines[lane].as_ref().map(|e| (e, &estimates[lane])),
                 &self.current,
                 reclaimed,
                 false,

@@ -27,12 +27,17 @@
 //!   columns beside its cells; the fold, the histogram, the threshold scan
 //!   and the id lookup stream those 8-byte columns, not the 88-byte
 //!   entries.
-//! - The tier's id directory (`directory` module) maps each engine
-//!   position to its rank in id order. Only a membership change (register,
-//!   deregister, a cell's first report, a lane crash or recovery) ranks
-//!   the cells afresh. Patch and rebuild both hand [`ServeSnapshot`] the
-//!   same id-ascending cells, so its contents and aggregates do not
-//!   depend on which one ran.
+//! - A snapshot is built without reading engine cell state. Each lane
+//!   keeps its engine's estimates in a position-indexed buffer, refreshed
+//!   by the lane's own task right after its pass (in parallel across
+//!   lanes). The tier's id directory (`directory` module) maps each engine
+//!   position to its rank in id order and merges the changed ranks from
+//!   those buffers into the reclaimed snapshot, in rank order. Only a
+//!   membership change (register, deregister, a cell's first report, a
+//!   lane crash or recovery) ranks the cells afresh. Patch and rebuild
+//!   both hand [`ServeSnapshot`] the same id-ascending cells, so its
+//!   contents and aggregates do not depend on which one ran. The fold
+//!   over the SoC column is the last step of a publish.
 
 use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetStats};
 use std::sync::{Arc, RwLock};

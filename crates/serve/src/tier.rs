@@ -1,7 +1,8 @@
 //! The serve tier itself: N independent fleet engines behind a rendezvous
 //! router, each fed by its own bounded ingest ring. A tick runs every live
-//! lane as a task on the tier's lane pool and publishes one read-side
-//! snapshot at the join.
+//! lane as a task on the tier's lane pool, each lane refreshing its own
+//! estimate buffer after its pass, and publishes one read-side snapshot at
+//! the join by merging those buffers in id order.
 //!
 //! ## Dataflow
 //!
@@ -13,13 +14,15 @@
 //!            (lane-owned buffer)      (resolve slots, then absorb)  │   or ≤ capacity)
 //!            ◀──────────────────────────────────────────────────────┘
 //!            process_pending: pass (+ WAL flush, snapshot on a durable lane)
+//!            refresh: changed cells (slot order) ──▶ lane estimate buffer
+//!                     (every position after a membership change)
 //!                                        │
 //!          join: every lane back in its seat ──▶ one publish (tick thread):
 //!          membership_epoch per lane ──▶ same as last publish?
-//!             yes: for_each_changed ──▶ rank bitmap ──▶ patch reclaimed buffer ─┐
-//!             no:  reporting sweep ──▶ sort by id ──▶ new ranks, read all ──────┤
-//!                                                                               ▼
-//!                                   ServeSnapshot (cells + id/SoC columns) ──▶ publish
+//!             yes: for_each_changed ──▶ rank bitmap ──▶ merge into reclaimed buffer ─┐
+//!             no:  reporting sweep ──▶ sort by id ──▶ new ranks, merge all ───────────┤
+//!                  (the merge reads the lane buffers, in rank order)                  ▼
+//!                         fold ──▶ ServeSnapshot (cells + id/SoC columns) ──▶ publish
 //!                                        │
 //! readers ──SnapshotReader::snapshot──▶ Arc clone, query off-lock
 //! ```
@@ -54,19 +57,28 @@
 //! bit-identical to per-frame ingest. Plain and durable lanes share this
 //! one drain path; a durable lane logs each chunk's reports to its WAL
 //! first. Then the lane runs its batch pass (plus the WAL flush and any
-//! due snapshot on a durable lane).
+//! due snapshot on a durable lane), and refreshes its estimate buffer: one
+//! compact [`pinnsoc_fleet::EstimateEntry`] per engine position, rewritten
+//! for the cells the pass changed (read shard by shard, in slot order), or
+//! for every position when the buffer is not known to be current (the
+//! lane's first tick, a membership change, a pass that returned an error,
+//! a recovered engine). The buffer is marked stale before the drain and
+//! current only after the refresh, so a failed WAL flush leaves it to be
+//! swept on the lane's next run.
 //!
 //! Nothing observable depends on the lane pool's size: the WAL and
 //! snapshot files a lane writes depend only on its own frames, and
 //! publish places cells by id rank, so snapshots are bit-identical for
 //! any lane-thread count.
 //!
-//! Publishing costs what changed, not what exists: the id directory (see
-//! the `directory` module) remembers each cell's rank in id order while
-//! no lane's membership epoch moves, and patches only the ranks whose
-//! cells this tick's passes (and the previous tick's) estimated into the
-//! buffer it reclaims. It sweeps and sorts only on the tick membership
-//! changes.
+//! Publishing costs what changed, not what exists, and reads no engine
+//! cell state: the id directory (see the `directory` module) remembers
+//! each cell's rank in id order while no lane's membership epoch moves,
+//! sets the ranks whose cells this tick's passes estimated in a bitmap,
+//! and merges those (and the previous tick's) from the lane buffers into
+//! the snapshot buffer it reclaims, in rank order. It sweeps and sorts only
+//! on the tick membership changes. The aggregate fold over the SoC column
+//! follows. Tracing shows the two as `place` and `fold` under `publish`.
 //!
 //! Ingest-to-estimate latency (producer enqueue to snapshot publish) is
 //! measured per frame only while something consumes it: with an
@@ -75,7 +87,7 @@
 //! `pinnsoc_serve_ingest_latency_seconds` histogram and the latency SLO's
 //! good/bad counts. With neither attached it keeps no per-frame state.
 
-use crate::directory::IdDirectory;
+use crate::directory::{IdDirectory, LaneEstimates};
 use crate::health::{HealthBoard, LaneHealth, ServeSlo, SloConfig, SloReport, SloSummary};
 use crate::ring::IngestRing;
 use crate::router::EngineRouter;
@@ -276,7 +288,7 @@ impl ServeObs {
             ),
             snapshot_changed_cells: registry.gauge(
                 "pinnsoc_serve_snapshot_changed_cells",
-                "Ranks the latest publish read from the engines",
+                "Ranks the latest publish read from the lanes' estimate buffers",
             ),
             latency_seconds: registry.histogram(
                 "pinnsoc_serve_ingest_latency_seconds",
@@ -306,9 +318,10 @@ impl ServeObs {
 }
 
 /// The tier's flight-recorder attachment: its own sink for the root
-/// `tick` span (pid 0), the `publish` span and down lanes' empty `lane`
-/// spans, plus the recorder handle so [`ServeTier::recover_engine`] can
-/// re-attach a recovered engine's tracer. Live lanes record into their
+/// `tick` span (pid 0), the `publish` span with its `place` and `fold`
+/// children, and down lanes' empty `lane` spans, plus the recorder handle
+/// so [`ServeTier::recover_engine`] can re-attach a recovered engine's
+/// tracer. Live lanes record into their
 /// own sinks ([`LaneBuffers::sink`]), merged at the join.
 struct TierTracer {
     recorder: Arc<FlightRecorder>,
@@ -350,6 +363,9 @@ struct LaneBuffers {
     drained_at: Vec<Instant>,
     /// The lane's own trace sink while a recorder is attached.
     sink: Option<TraceSink>,
+    /// The engine's estimates by position, refreshed after each pass:
+    /// what publish reads instead of the engine.
+    estimates: LaneEstimates,
 }
 
 /// One live lane's tick on the lane pool: its backend and buffers, out of
@@ -385,14 +401,18 @@ impl PoolTask for LaneTask {
     type Kind = LaneJob;
     type Output = io::Result<LaneTally>;
 
-    /// Drains the ring in chunks, then runs the lane's pass; records the
-    /// lane's spans into its own sink.
+    /// Drains the ring in chunks, runs the lane's pass, then refreshes the
+    /// lane's estimate buffer; records the lane's spans into its own sink.
     fn run(&mut self, (): &(), job: LaneJob) -> io::Result<LaneTally> {
         let LaneBuffers {
             batch,
             drained_at,
             sink,
+            estimates,
         } = &mut self.buffers;
+        // Stale from here until the refresh: a pass that fails leaves the
+        // buffer to be swept on the lane's next run.
+        let known = estimates.invalidate();
         let mut sink = sink.as_mut().filter(|_| job.tracing);
         let lane_start = sink.is_some().then(Instant::now);
         let lane_span = sink.as_mut().map_or(0, |sink| sink.open());
@@ -426,6 +446,12 @@ impl PoolTask for LaneTask {
             }
         }
         (tally.integrated, tally.estimated) = self.backend.process_pending(lane_span)?;
+        let refresh_start = sink.is_some().then(Instant::now);
+        let engine = self.backend.engine().expect("a lane task's engine is live");
+        estimates.refresh(engine, known);
+        if let (Some(sink), Some(start)) = (sink.as_mut(), refresh_start) {
+            let _ = sink.record("refresh", "serve", pid, 0, lane_span, start, Instant::now());
+        }
         if let (Some(sink), Some(start)) = (sink, lane_start) {
             if let Some((flush_start, flush_end)) = self.backend.last_flush_span() {
                 let _ = sink.record(
@@ -618,8 +644,10 @@ impl ServeTier {
     /// appends included) per drained chunk, the engine's own
     /// `engine_tick` → `pass` → stage tree and, on a durable lane, a
     /// `wal_flush` span (the tick-boundary WAL encode + checksum + write
-    /// that follows the pass). A `publish` span covers building the
-    /// snapshot after the join. A lane recovered by
+    /// that follows the pass) and a `refresh` span (the lane's estimate
+    /// buffer refresh). A `publish` span covers building the snapshot after
+    /// the join, split into `place` (the rank-order merge from the lane
+    /// buffers) and `fold` (the aggregates). A lane recovered by
     /// [`Self::recover_engine`] re-attaches automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
@@ -828,6 +856,9 @@ impl ServeTier {
                 continue;
             }
             queued += lane.ring.len();
+            if let Some(engine) = lane.backend.engine() {
+                lane.buffers.estimates.reserve(engine.len());
+            }
             // The seat holds `Down` while the lane is out: a lane whose
             // task panics stays down.
             self.lane_tasks.push((
@@ -892,10 +923,15 @@ impl ServeTier {
             return Err(err);
         }
 
-        // Every live engine's reporting cells, placed in id order by the
-        // directory: patching the changed ranks, or re-ranking after a
-        // membership change (see the `directory` module docs).
+        // Every live lane's reporting cells, placed in id order by the
+        // directory from the lanes' refreshed estimates: patching the
+        // changed ranks, or re-ranking after a membership change (see the
+        // `directory` module docs). Then the aggregate fold.
         let publish_start = tracing.then(Instant::now);
+        let publish_span = match self.tracer.as_mut() {
+            Some(tracer) if tracing => tracer.sink.open(),
+            _ => 0,
+        };
         // A reader that pinned the displaced snapshot has had a whole tick
         // to let go; only if it still holds on does this tick allocate.
         let reclaimed = self
@@ -909,11 +945,15 @@ impl ServeTier {
         let current = self.slot.load();
         let placed = self.directory.place(
             lanes.len(),
-            |lane| lanes[lane].backend.engine(),
+            |idx| {
+                let lane = &lanes[idx];
+                lane.backend.engine().map(|e| (e, &lane.buffers.estimates))
+            },
             &current,
             reclaimed,
             !synced,
         );
+        let fold_start = tracing.then(Instant::now);
         let snapshot = Arc::new(ServeSnapshot::build(
             self.tick,
             registered,
@@ -922,15 +962,28 @@ impl ServeTier {
             placed.ids,
             placed.socs,
         ));
+        let folded = tracing.then(Instant::now);
         let snapshot_cells = snapshot.cells.len();
         self.displaced = Some(self.slot.publish(snapshot));
         self.synced = true;
 
         let published = Instant::now();
-        if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), publish_start) {
-            let _ = tracer
-                .sink
-                .record("publish", "serve", 0, 0, tick_span, start, published);
+        if let (Some(tracer), Some(start), Some(fold_start), Some(folded)) =
+            (self.tracer.as_mut(), publish_start, fold_start, folded)
+        {
+            let sink = &mut tracer.sink;
+            let _ = sink.record("place", "serve", 0, 0, publish_span, start, fold_start);
+            let _ = sink.record("fold", "serve", 0, 0, publish_span, fold_start, folded);
+            sink.complete(
+                publish_span,
+                "publish",
+                "serve",
+                0,
+                0,
+                tick_span,
+                start,
+                published,
+            );
         }
         // One pass over the drained frames' latencies feeds both
         // consumers: the obs histogram and the latency SLO's bad count.
@@ -1069,7 +1122,11 @@ impl ServeTier {
                 .get_or_insert_with(|| tracer.recorder.sink());
         }
         lane.backend = Backend::Durable(Box::new(fleet));
+        // The new engine's epoch counts afresh and may equal the dead
+        // one's: neither the directory nor the lane's estimates can be
+        // patched from what they knew.
         self.synced = false;
+        lane.buffers.estimates.invalidate();
         if let Some(board) = &self.health {
             board.set_lane_up(engine, true);
         }

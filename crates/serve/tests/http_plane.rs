@@ -7,7 +7,9 @@
 //!   returns to `ok` after recovery — without ever dropping readiness,
 //!   because the dead lane keeps buffering;
 //! - `/trace.json` carries at least one complete
-//!   tick → lane → engine_tick → pass → stage span tree per engine;
+//!   tick → lane → engine_tick → pass → stage span tree per engine, the
+//!   lane's `drain`/`ingest`/`wal_flush`/`refresh` children, and the
+//!   tier's tick → publish → `place`/`fold` split;
 //! - a scraper polling `/metrics` + `/snapshot.json` concurrently with
 //!   live ticks never blocks the tick loop and never observes a torn
 //!   histogram (`ObsHub::snapshot`'s contention contract).
@@ -236,9 +238,9 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
             chain, expected,
             "engine {engine}: stage span must chain to the tick root"
         );
-        // Ring pops, the batched absorb and the durable lane's WAL flush
-        // are split out under the lane.
-        for split in ["drain", "ingest", "wal_flush"] {
+        // Ring pops, the batched absorb, the durable lane's WAL flush and
+        // the estimate-buffer refresh are split out under the lane.
+        for split in ["drain", "ingest", "wal_flush", "refresh"] {
             let (_, parent, _) = by_id
                 .values()
                 .find(|(name, _, p)| *p == pid && *name == split)
@@ -249,6 +251,24 @@ fn plane_serves_live_tier_through_crash_and_recovery() {
                 "engine {engine}: {split} must be a child of its lane span"
             );
         }
+    }
+
+    // Publish splits into the rank-order merge and the aggregate fold,
+    // under the tier's publish span, under the tick root.
+    for split in ["place", "fold"] {
+        let (_, parent, _) = by_id
+            .values()
+            .find(|(name, _, p)| *p == 0 && *name == split)
+            .unwrap_or_else(|| panic!("no {split} span"));
+        let (name, grandparent, _) = by_id
+            .get(parent)
+            .unwrap_or_else(|| panic!("{split}: dangling parent {parent}"));
+        assert_eq!(*name, "publish", "{split} must be a child of publish");
+        assert_eq!(
+            by_id.get(grandparent).map(|span| span.0),
+            Some("tick"),
+            "publish must be a child of the tick root"
+        );
     }
 
     // -- /healthz: ok while everything serves. --

@@ -3,8 +3,13 @@
 //! with a single lane helper, one with a thread per lane — write
 //! byte-identical WAL segments and `snapshot.bin` files after every tick,
 //! publish bit-identical snapshots, and stay identical through a crash and
-//! recovery of one lane.
+//! recovery of one lane. Every snapshot either tier publishes also equals a
+//! sweep-and-sort build of its live engines, so an estimate-buffer or
+//! publish fault both tiers share cannot hide behind their agreement.
 
+mod common;
+
+use common::{published, sweep_and_sort};
 use pinnsoc_fleet::testing::untrained_model;
 use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
 use pinnsoc_scenario::{tear_directory, CrashPoint, FaultChannel, FaultModel};
@@ -174,6 +179,12 @@ fn durable_files_and_snapshots_identical_across_lane_threads() {
             snapshot_bits(&tiers[1]),
             "tick {tick}: published snapshots"
         );
+        for (which, tier) in tiers.iter().enumerate() {
+            assert!(
+                published(&tier.reader().snapshot()) == sweep_and_sort(tier),
+                "tick {tick}: tier {which}'s snapshot differs from a sweep-and-sort build"
+            );
+        }
     }
     assert_eq!(
         tiers[0].reader().snapshot().cells.len() as u64,

@@ -16,9 +16,17 @@
 //! threshold scans must be bit-identical to a sweep-and-sort build from
 //! the live engines, and, whenever every lane of both tiers is up,
 //! identical across the two topologies. A held snapshot never changes.
+//!
+//! A second, seeded case builds what the random search is unlikely to
+//! reach: a lane recovered to an engine with the dead engine's membership
+//! epoch but other positions, which only a forced rebuild and a full
+//! sweep of the lane's estimate buffer publish correctly.
 
+mod common;
+
+use common::{published, sweep_and_sort, Published};
 use pinnsoc_fleet::testing::{untrained_model, untrained_model_seeded};
-use pinnsoc_fleet::{CellConfig, CellId, EstimateBreakdown, FleetConfig, SocEstimate, Telemetry};
+use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, Telemetry};
 use pinnsoc_obs::ObsHub;
 use pinnsoc_serve::{DurabilitySpec, IngestHandle, ServeConfig, ServeSnapshot, ServeTier};
 use std::path::PathBuf;
@@ -28,9 +36,6 @@ use std::sync::Arc;
 const ID_SPACE: u64 = 160;
 const SEEDS: u64 = 8;
 const STEPS: usize = 240;
-/// Bin counts and thresholds every snapshot is queried with.
-const BINS: [usize; 3] = [1, 7, 32];
-const THRESHOLDS: [f64; 4] = [0.0, 0.3, 0.55, 1.0];
 
 /// splitmix64: the seeded op stream.
 struct Stream(u64);
@@ -46,116 +51,6 @@ impl Stream {
 
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
-    }
-}
-
-/// Every field of one breakdown, bit-exact.
-type Bits = (
-    u64,
-    SocEstimate,
-    Option<u64>,
-    bool,
-    u64,
-    Option<u64>,
-    Option<u64>,
-);
-
-fn bits(b: &EstimateBreakdown) -> Bits {
-    (
-        b.best.0.to_bits(),
-        b.best.1,
-        b.network.map(f64::to_bits),
-        b.network_fresh,
-        b.coulomb.to_bits(),
-        b.ekf.map(f64::to_bits),
-        b.ekf_soc_std.map(f64::to_bits),
-    )
-}
-
-/// A snapshot's cells, aggregates and query answers, bit-exact.
-#[derive(Debug, PartialEq)]
-struct Published {
-    cells: Vec<(CellId, Bits)>,
-    registered: usize,
-    reporting: usize,
-    mean_min_max: [u64; 3],
-    histograms: Vec<Vec<usize>>,
-    below: Vec<Vec<CellId>>,
-}
-
-fn published(snapshot: &ServeSnapshot) -> Published {
-    let stats = snapshot.stats();
-    assert_eq!(stats.cells, snapshot.registered);
-    Published {
-        cells: snapshot
-            .cells
-            .iter()
-            .map(|(id, b)| (*id, bits(b)))
-            .collect(),
-        registered: stats.cells,
-        reporting: stats.reporting,
-        mean_min_max: [
-            stats.mean_soc.to_bits(),
-            stats.min_soc.to_bits(),
-            stats.max_soc.to_bits(),
-        ],
-        histograms: BINS.iter().map(|&k| snapshot.soc_histogram(k)).collect(),
-        below: THRESHOLDS
-            .iter()
-            .map(|&t| snapshot.cells_below(t))
-            .collect(),
-    }
-}
-
-/// The sweep-and-sort build: every live engine's reporting cells, sorted
-/// by id, with the aggregates folded in id order.
-fn sweep_and_sort(tier: &ServeTier) -> Published {
-    let mut cells = Vec::new();
-    let mut registered = 0;
-    for e in 0..tier.engines() {
-        if let Some(engine) = tier.engine(e) {
-            registered += engine.len();
-            engine.for_each_breakdown(|id, b| cells.push((id, b)));
-        }
-    }
-    cells.sort_unstable_by_key(|(id, _)| *id);
-    let (mut sum, mut min, mut max) = (0.0, f64::MAX, f64::MIN);
-    for (_, b) in &cells {
-        sum += b.best.0;
-        min = min.min(b.best.0);
-        max = max.max(b.best.0);
-    }
-    let mean_min_max = if cells.is_empty() {
-        [0f64.to_bits(); 3]
-    } else {
-        [
-            (sum / cells.len() as f64).to_bits(),
-            min.to_bits(),
-            max.to_bits(),
-        ]
-    };
-    // Equal buckets over [0, 1], the last one closed.
-    let histogram = |bins: usize| {
-        let mut counts = vec![0; bins];
-        for (_, b) in &cells {
-            counts[((b.best.0 * bins as f64) as usize).min(bins - 1)] += 1;
-        }
-        counts
-    };
-    let below = |threshold: f64| {
-        cells
-            .iter()
-            .filter(|(_, b)| b.best.0 < threshold)
-            .map(|(id, _)| *id)
-            .collect()
-    };
-    Published {
-        cells: cells.iter().map(|(id, b)| (*id, bits(b))).collect(),
-        registered,
-        reporting: cells.len(),
-        mean_min_max,
-        histograms: BINS.iter().map(|&k| histogram(k)).collect(),
-        below: THRESHOLDS.iter().map(|&t| below(t)).collect(),
     }
 }
 
@@ -416,5 +311,136 @@ fn run_seed(seed: u64) {
 fn directory_matches_sweep_and_sort_under_random_membership_changes() {
     for seed in 0..SEEDS {
         run_seed(seed);
+    }
+}
+
+/// Every WAL segment in a lane directory, by name, with its length.
+fn wal_lengths(dir: &std::path::Path) -> Vec<(PathBuf, u64)> {
+    let mut segments: Vec<(PathBuf, u64)> = std::fs::read_dir(dir)
+        .expect("lane directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| {
+            path.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("wal-"))
+        })
+        .map(|path| {
+            let len = std::fs::metadata(&path).expect("segment metadata").len();
+            (path, len)
+        })
+        .collect();
+    segments.sort();
+    segments
+}
+
+/// Each reporting cell's position and id, in position order.
+fn reporting(tier: &ServeTier, lane: usize) -> Vec<(usize, CellId)> {
+    let mut cells = Vec::new();
+    tier.engine(lane)
+        .expect("lane is up")
+        .for_each_reporting(|position, id| cells.push((position, id)));
+    cells
+}
+
+fn check(tier: &ServeTier, context: &str) {
+    assert_eq!(
+        published(&tier.reader().snapshot()),
+        sweep_and_sort(tier),
+        "{context}: snapshot differs from a sweep-and-sort build"
+    );
+}
+
+/// A lane recovers to an engine whose membership epoch equals the dead
+/// engine's while its positions differ: the dead engine's last committed
+/// tick registered one more cell, and that tick is torn off the WAL, so
+/// the recovered engine (one import plus the replayed registers and first
+/// reports) lands on the same count without the cell. Neither the id
+/// directory nor the lane's estimate buffer may then patch what they
+/// knew; both must start over.
+fn recovered_epoch_case(seed: u64) {
+    const LANE: usize = 0;
+    const CELLS: u64 = 48;
+    let root = std::env::temp_dir().join(format!(
+        "pinnsoc-serve-recovered-epoch-{seed}-{}",
+        std::process::id()
+    ));
+    let mut tier = durable_tier(root.clone(), 2, 3, 1);
+    let handle = tier.handle();
+    let mut rng = Stream(seed);
+    let config = |id: CellId| CellConfig {
+        initial_soc: 0.3 + 0.5 * (id as f64 / CELLS as f64),
+        capacity_ah: 2.5,
+    };
+    for id in 0..CELLS {
+        assert!(tier.register(id, config(id)));
+        assert!(handle.ingest(id, report(10.0, id)).enqueued());
+    }
+    tier.tick().expect("tick 1");
+    check(&tier, &format!("seed {seed} tick 1"));
+    let lane_dir = root.join(format!("engine-{LANE:03}"));
+    let committed = wal_lengths(&lane_dir);
+
+    // One more cell on the lane, in a shard before the last, so the
+    // positions of every later shard's cells shift by one.
+    let extra = loop {
+        let id = CELLS + rng.below(1000);
+        if tier.router().route(id) == LANE && id % 3 != 2 {
+            break id;
+        }
+    };
+    assert!(tier.register(extra, config(extra)));
+    tier.tick().expect("tick 2");
+    check(&tier, &format!("seed {seed} tick 2"));
+    let dead_epoch = tier.engine(LANE).expect("up").membership_epoch();
+    let dead_positions = reporting(&tier, LANE);
+
+    tier.crash_engine(LANE);
+    for (path, len) in wal_lengths(&lane_dir) {
+        match committed.iter().find(|(p, _)| *p == path) {
+            Some(&(_, len_then)) => {
+                assert!(len_then <= len);
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|file| file.set_len(len_then))
+                    .expect("tear the last commit off");
+            }
+            None => std::fs::remove_file(&path).expect("drop a newer segment"),
+        }
+    }
+    tier.recover_engine(LANE).expect("recover lane");
+    let recovered = tier.engine(LANE).expect("recovered");
+    assert!(
+        !recovered.contains(extra),
+        "seed {seed}: the torn tick is lost"
+    );
+    assert_eq!(
+        recovered.membership_epoch(),
+        dead_epoch,
+        "seed {seed}: the case needs the dead engine's epoch"
+    );
+    assert_ne!(
+        reporting(&tier, LANE),
+        dead_positions,
+        "seed {seed}: the case needs other positions"
+    );
+
+    // Some cells report; the rest keep what recovery replayed.
+    for id in 0..CELLS {
+        if rng.below(3) == 0 {
+            assert!(handle.ingest(id, report(20.0, id)).enqueued());
+        }
+    }
+    tier.tick().expect("tick 3");
+    check(&tier, &format!("seed {seed} tick 3"));
+    tier.tick().expect("tick 4");
+    check(&tier, &format!("seed {seed} tick 4"));
+    drop(tier);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn recovered_lane_at_the_dead_epoch_with_other_positions_starts_over() {
+    for seed in 0..4 {
+        recovered_epoch_case(seed);
     }
 }
