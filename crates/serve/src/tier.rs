@@ -81,11 +81,15 @@
 //! follows. Tracing shows the two as `place` and `fold` under `publish`.
 //!
 //! Ingest-to-estimate latency (producer enqueue to snapshot publish) is
-//! measured per frame only while something consumes it: with an
-//! [`ObsHub`] or an SLO attached, each lane keeps its drained frames'
-//! enqueue instants and, in one pass after publish, the tick feeds the
+//! measured per frame only while something consumes it. Attaching an
+//! [`ObsHub`] or an SLO sets a flag that every [`IngestHandle`] shares;
+//! from then on producers stamp each frame with its enqueue instant, each
+//! lane keeps the instants of the stamped frames it drains and, in one
+//! pass after publish, the tick feeds the
 //! `pinnsoc_serve_ingest_latency_seconds` histogram and the latency SLO's
-//! good/bad counts. With neither attached it keeps no per-frame state.
+//! good/bad counts. Frames enqueued before the attach carry no instant and
+//! are not timed. With neither attached, producers read no clock and the
+//! tick keeps no per-frame state.
 
 use crate::directory::{IdDirectory, LaneEstimates};
 use crate::health::{HealthBoard, LaneHealth, ServeSlo, SloConfig, SloReport, SloSummary};
@@ -99,6 +103,7 @@ use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry, Tel
 use pinnsoc_obs::{FlightRecorder, LocalMetrics, MetricId, ObsHub, SpanId, TraceSink};
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -151,9 +156,11 @@ pub struct IngestFrame {
     /// The report itself.
     pub telemetry: Telemetry,
     /// When the producer enqueued it — the start of the
-    /// ingest-to-estimate latency, measured at snapshot publish while an
-    /// obs hub or an SLO is attached.
-    pub enqueued: Instant,
+    /// ingest-to-estimate latency, measured at snapshot publish. `Some`
+    /// only for frames enqueued after an obs hub or an SLO was attached:
+    /// with neither, the producer reads no clock. (`Option<Instant>` is
+    /// as large as `Instant`, so the frame does not grow.)
+    pub enqueued: Option<Instant>,
 }
 
 /// What happened to one [`IngestHandle::ingest`] call.
@@ -195,16 +202,24 @@ impl IngestOutcome {
 pub struct IngestHandle {
     router: EngineRouter,
     rings: Vec<Arc<IngestRing<IngestFrame>>>,
+    /// The tier's timing flag: set once an obs hub or an SLO consumes
+    /// ingest latency.
+    timed: Arc<AtomicBool>,
 }
 
 impl IngestHandle {
-    /// Enqueues one report on the owning engine's ring.
+    /// Enqueues one report on the owning engine's ring, stamped with the
+    /// current instant only while the tier times ingest latency (an obs
+    /// hub or an SLO attached — including an attach after this handle was
+    /// cloned). Otherwise it reads no clock.
     pub fn ingest(&self, id: CellId, telemetry: Telemetry) -> IngestOutcome {
         let engine = self.router.route(id);
+        // `Relaxed` suffices: the flag publishes no data, and a push that
+        // happens after the attach reads the store by coherence alone.
         let frame = IngestFrame {
             id,
             telemetry,
-            enqueued: Instant::now(),
+            enqueued: self.timed.load(Ordering::Relaxed).then(Instant::now),
         };
         match self.rings[engine].push(frame) {
             Ok(()) => IngestOutcome::Enqueued { engine },
@@ -358,8 +373,9 @@ struct Lane {
 struct LaneBuffers {
     /// One chunk of popped frames, handed to the engine as one batch.
     batch: Vec<(CellId, Telemetry)>,
-    /// Enqueue instants of the frames drained this tick, kept only while
-    /// an obs hub or an SLO consumes their latency.
+    /// Enqueue instants of the stamped frames drained this tick (only
+    /// frames enqueued while an obs hub or an SLO consumes their latency
+    /// carry one).
     drained_at: Vec<Instant>,
     /// The lane's own trace sink while a recorder is attached.
     sink: Option<TraceSink>,
@@ -384,8 +400,6 @@ struct LaneJob {
     /// The root span each `lane` span parents under (0 untraced).
     tick_span: SpanId,
     tracing: bool,
-    /// Keep each drained frame's enqueue instant.
-    timing: bool,
 }
 
 /// Counts one lane task reports back.
@@ -429,8 +443,8 @@ impl PoolTask for LaneTask {
             for _ in 0..take {
                 let Some(frame) = self.ring.pop() else { break };
                 batch.push((frame.id, frame.telemetry));
-                if job.timing {
-                    drained_at.push(frame.enqueued);
+                if let Some(at) = frame.enqueued {
+                    drained_at.push(at);
                 }
             }
             bound -= batch.len();
@@ -560,6 +574,10 @@ pub struct ServeTier {
     /// Reused submit and join buffers of the lane pool.
     lane_tasks: Vec<(usize, LaneTask)>,
     lane_done: Vec<Done<LaneTask>>,
+    /// Whether producers stamp frames with their enqueue instant: set by
+    /// [`Self::attach_obs`] and [`Self::attach_slo`], shared with every
+    /// [`IngestHandle`].
+    timed: Arc<AtomicBool>,
 }
 
 impl ServeTier {
@@ -618,6 +636,7 @@ impl ServeTier {
             lane_pool: WorkerPool::new(Arc::new(NoContext), helpers),
             lane_tasks: Vec::new(),
             lane_done: Vec::new(),
+            timed: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -634,6 +653,7 @@ impl ServeTier {
             }
         }
         self.obs = Some(ServeObs::new(hub));
+        self.timed.store(true, Ordering::Relaxed);
     }
 
     /// Attaches a flight recorder: each [tick](Self::tick) records a root
@@ -688,6 +708,7 @@ impl ServeTier {
     /// the current status into `/healthz` detail.
     pub fn attach_slo(&mut self, hub: &Arc<ObsHub>, config: SloConfig) {
         self.slo = Some(ServeSlo::new(hub, config, self.backpressure_total()));
+        self.timed.store(true, Ordering::Relaxed);
     }
 
     /// End-of-run SLO summary (`None` until [`Self::attach_slo`]).
@@ -724,6 +745,7 @@ impl ServeTier {
         IngestHandle {
             router: self.router,
             rings: self.lanes.iter().map(|l| Arc::clone(&l.ring)).collect(),
+            timed: Arc::clone(&self.timed),
         }
     }
 
@@ -836,9 +858,6 @@ impl ServeTier {
             Some(tracer) if tracing => tracer.sink.open(),
             _ => 0,
         };
-        // Likewise for per-frame latency: with no obs hub and no SLO the
-        // lanes keep no enqueue instants.
-        let timing = self.obs.is_some() || self.slo.is_some();
         let synced = std::mem::replace(&mut self.synced, false);
         let mut skipped_lanes = 0usize;
         let mut queued = 0usize;
@@ -871,11 +890,7 @@ impl ServeTier {
                 },
             ));
         }
-        let job = LaneJob {
-            tick_span,
-            tracing,
-            timing,
-        };
+        let job = LaneJob { tick_span, tracing };
         let run = if queued >= WAKE_HELPERS_FRAMES {
             WorkerPool::run
         } else {
@@ -985,18 +1000,19 @@ impl ServeTier {
                 published,
             );
         }
-        // One pass over the drained frames' latencies feeds both
-        // consumers: the obs histogram and the latency SLO's bad count.
+        // One pass over the timed frames' latencies feeds both consumers:
+        // the obs histogram and the latency SLO's good/bad counts.
         let threshold = self
             .slo
             .as_ref()
             .map_or(f64::INFINITY, |slo| slo.config.latency_threshold_s);
-        let mut late = 0u64;
+        let (mut timed, mut late) = (0u64, 0u64);
         for enqueued in self.lanes.iter().flat_map(|lane| &lane.buffers.drained_at) {
             let latency = published.duration_since(*enqueued).as_secs_f64();
             if let Some(obs) = &mut self.obs {
                 obs.local.observe(obs.latency_seconds, latency);
             }
+            timed += 1;
             late += u64::from(latency > threshold);
         }
 
@@ -1021,10 +1037,7 @@ impl ServeTier {
             let delivered = report.telemetry.accepted + report.telemetry.duplicate_timestamp;
             slo.observe(
                 report.tick,
-                [
-                    (report.drained as u64 - late, late),
-                    (delivered, backpressure + rejected),
-                ],
+                [(timed - late, late), (delivered, backpressure + rejected)],
             );
         }
         if let (Some(tracer), Some(start)) = (self.tracer.as_mut(), tick_start) {
@@ -1141,5 +1154,64 @@ impl std::fmt::Debug for ServeTier {
             .field("tick", &self.tick)
             .field("backpressure_total", &self.backpressure_total())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pinnsoc_fleet::testing::untrained_model;
+
+    fn report(id: CellId) -> Telemetry {
+        Telemetry {
+            time_s: 10.0,
+            voltage_v: 3.6,
+            current_a: 0.5 + 0.01 * id as f64,
+            temperature_c: 25.0,
+        }
+    }
+
+    /// Enqueues `frames` reports through `handle`, then pops every lane's
+    /// ring and returns the popped frames' stamps.
+    fn stamps(tier: &ServeTier, handle: &IngestHandle, frames: u64) -> Vec<Option<Instant>> {
+        for id in 0..frames {
+            assert!(handle.ingest(id, report(id)).enqueued());
+        }
+        tier.lanes
+            .iter()
+            .flat_map(|lane| std::iter::from_fn(|| lane.ring.pop()))
+            .map(|frame| frame.enqueued)
+            .collect()
+    }
+
+    /// Producers stamp a frame only once an obs hub or an SLO consumes
+    /// ingest latency, through handles cloned before the attach too.
+    #[test]
+    fn frames_carry_an_enqueue_instant_only_while_latency_is_consumed() {
+        assert_eq!(size_of::<Option<Instant>>(), size_of::<Instant>());
+        let attaches: [fn(&mut ServeTier, &Arc<ObsHub>); 2] = [
+            |tier, hub| tier.attach_obs(hub),
+            |tier, hub| tier.attach_slo(hub, SloConfig::default()),
+        ];
+        for attach in attaches {
+            let mut tier = ServeTier::new(untrained_model(), ServeConfig::default())
+                .expect("plain tier never does IO");
+            let handle = tier.handle();
+            let before = stamps(&tier, &handle, 16);
+            assert_eq!(before.len(), 16);
+            assert!(
+                before.iter().all(Option::is_none),
+                "stamped with nothing attached"
+            );
+            attach(&mut tier, &ObsHub::new());
+            for handle in [handle, tier.handle()] {
+                let after = stamps(&tier, &handle, 16);
+                assert_eq!(after.len(), 16);
+                assert!(
+                    after.iter().all(Option::is_some),
+                    "unstamped after the attach"
+                );
+            }
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Ingest-to-estimate latency as the tier records it: one histogram
-//! observation per drained frame under steady, bursty and faulty traffic.
+//! observation per drained frame under steady, bursty and faulty traffic,
+//! and none for frames enqueued before the obs hub was attached.
 
 use pinnsoc_fleet::testing::untrained_model;
 use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
-use pinnsoc_obs::{ObsHub, SampleValue};
+use pinnsoc_obs::{HistogramSnapshot, ObsHub, SampleValue};
 use pinnsoc_scenario::{FaultChannel, FaultModel};
 use pinnsoc_serve::{IngestHandle, ServeConfig, ServeTier};
 
@@ -20,11 +21,8 @@ fn feed(step: u64, id: u64) -> Telemetry {
     }
 }
 
-/// Every drained frame lands in the latency histogram exactly once, and
-/// none takes longer than the histogram's top bound of 1 s — a blocked
-/// tick loop or an unbounded drain would.
-#[test]
-fn every_drained_frame_is_observed_once_and_none_above_one_second() {
+/// A two-engine plain tier with `CELLS` registered cells.
+fn tier() -> ServeTier {
     let mut tier = ServeTier::new(
         untrained_model(),
         ServeConfig {
@@ -50,6 +48,22 @@ fn every_drained_frame_is_observed_once_and_none_above_one_second() {
             },
         ));
     }
+    tier
+}
+
+fn latency_histogram(hub: &ObsHub) -> HistogramSnapshot {
+    match hub.snapshot().metrics.find(LATENCY, &[]).map(|m| &m.value) {
+        Some(SampleValue::Histogram(h)) => h.clone(),
+        other => panic!("latency histogram: {other:?}"),
+    }
+}
+
+/// Every drained frame lands in the latency histogram exactly once, and
+/// none takes longer than the histogram's top bound of 1 s — a blocked
+/// tick loop or an unbounded drain would.
+#[test]
+fn every_drained_frame_is_observed_once_and_none_above_one_second() {
+    let mut tier = tier();
     let hub = ObsHub::new();
     tier.attach_obs(&hub);
     let handle = tier.handle();
@@ -115,11 +129,7 @@ fn every_drained_frame_is_observed_once_and_none_above_one_second() {
 
     assert_eq!(drained, offered, "every offered frame fit its ring");
     assert!(rejected > 0, "the fault channel should trip engine rejects");
-    let metrics = hub.snapshot().metrics;
-    let histogram = match metrics.find(LATENCY, &[]).map(|m| &m.value) {
-        Some(SampleValue::Histogram(h)) => h.clone(),
-        other => panic!("latency histogram: {other:?}"),
-    };
+    let histogram = latency_histogram(&hub);
     assert_eq!(
         histogram.count, drained,
         "one latency observation per drained frame"
@@ -129,5 +139,30 @@ fn every_drained_frame_is_observed_once_and_none_above_one_second() {
         histogram.counts.last(),
         Some(&0),
         "a frame took longer than 1 s from enqueue to publish"
+    );
+}
+
+/// Producers start stamping frames at the attach, also through a handle
+/// cloned before it: frames enqueued earlier drain in the same tick but
+/// are not timed, and every frame enqueued after it is observed once.
+#[test]
+fn only_frames_enqueued_after_attach_obs_are_observed() {
+    let mut tier = tier();
+    let handle = tier.handle();
+    let before = CELLS / 3;
+    for id in 0..before {
+        assert!(handle.ingest(id, feed(1, id)).enqueued());
+    }
+    let hub = ObsHub::new();
+    tier.attach_obs(&hub);
+    for id in 0..CELLS {
+        assert!(handle.ingest(id, feed(2, id)).enqueued());
+    }
+    let report = tier.tick().expect("plain tick");
+    assert_eq!(report.drained as u64, before + CELLS);
+    assert_eq!(
+        latency_histogram(&hub).count,
+        CELLS,
+        "exactly the frames enqueued after the attach are observed"
     );
 }

@@ -1,5 +1,6 @@
 //! The tier's burn-rate SLO engine through a full alerting cycle:
-//! healthy traffic, a sustained backpressure flood, then recovery.
+//! healthy traffic, a sustained backpressure flood, then recovery; and the
+//! latency SLO's count of timed frames at the attach.
 
 use pinnsoc_fleet::testing::untrained_model;
 use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
@@ -21,11 +22,8 @@ fn feed(step: u64, id: u64) -> Telemetry {
     }
 }
 
-/// The delivery SLO must escalate to `page` during the flood (several
-/// ring-loads offered per tick, so most frames are refused) and drain
-/// back to `ok` with slow-window hysteresis.
-#[test]
-fn backpressure_flood_pages_delivery_then_recovers() {
+/// A plain tier with `CELLS` registered cells.
+fn tier() -> ServeTier {
     let mut tier = ServeTier::new(
         untrained_model(),
         ServeConfig {
@@ -50,6 +48,15 @@ fn backpressure_flood_pages_delivery_then_recovers() {
             },
         ));
     }
+    tier
+}
+
+/// The delivery SLO must escalate to `page` during the flood (several
+/// ring-loads offered per tick, so most frames are refused) and drain
+/// back to `ok` with slow-window hysteresis.
+#[test]
+fn backpressure_flood_pages_delivery_then_recovers() {
+    let mut tier = tier();
     // Short windows so the cycle resolves in a few dozen ticks.
     let fast = 2;
     let slow = 8;
@@ -109,4 +116,37 @@ fn backpressure_flood_pages_delivery_then_recovers() {
         "recovery ticks must drain the delivery SLO back to ok"
     );
     assert!(delivery.worst_fast_burn > delivery.spec.page_burn);
+}
+
+/// The latency SLO counts only frames it timed: frames enqueued before
+/// `attach_slo` carry no enqueue instant and are neither good nor bad.
+/// With a zero threshold every timed frame is late, so the one tick's
+/// fast burn is the whole budget's inverse.
+#[test]
+fn latency_slo_counts_only_frames_enqueued_after_the_attach() {
+    let mut tier = tier();
+    let handle = tier.handle();
+    for id in 0..CELLS / 2 {
+        assert!(handle.ingest(id, feed(1, id)).enqueued());
+    }
+    tier.attach_slo(
+        &ObsHub::new(),
+        SloConfig {
+            latency_threshold_s: 0.0,
+            ..SloConfig::default()
+        },
+    );
+    for id in 0..CELLS / 4 {
+        assert!(handle.ingest(id, feed(2, id)).enqueued());
+    }
+    let report = tier.tick().expect("plain tick");
+    assert_eq!(report.drained as u64, CELLS / 2 + CELLS / 4);
+
+    let slo = tier.slo_report().expect("slo attached");
+    let latency = slo
+        .slos
+        .iter()
+        .find(|s| s.spec.name == "latency")
+        .expect("latency slo");
+    assert_eq!(latency.worst_fast_burn, 1.0 / latency.spec.budget);
 }
