@@ -1,6 +1,7 @@
 //! The fleet engine: sharded per-cell state, micro-batched inference, and
 //! fleet-level queries.
 
+use crate::aggregate::FleetStats;
 use crate::cell::{
     AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown,
     EstimateEntry, SocEstimate,
@@ -100,51 +101,6 @@ pub struct WorkloadQuery {
     pub avg_temperature_c: f64,
     /// Prediction horizon `N`, seconds.
     pub horizon_s: f64,
-}
-
-/// Fleet-level summary statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetStats {
-    /// Registered cells.
-    pub cells: usize,
-    /// Cells with at least one accepted telemetry report.
-    pub reporting: usize,
-    /// Mean best-estimate SoC over reporting cells (0 when none report).
-    pub mean_soc: f64,
-    /// Minimum best-estimate SoC over reporting cells (0 when none report).
-    pub min_soc: f64,
-    /// Maximum best-estimate SoC over reporting cells (0 when none report).
-    pub max_soc: f64,
-}
-
-impl FleetStats {
-    /// Folds reporting cells' best-estimate SoCs, in the order given, into
-    /// the summary of a fleet of `registered` cells. The one aggregate
-    /// fold behind [`FleetEngine::stats`] (shard order) and the serve
-    /// tier's snapshots (id order): the mean is a float sum, so its bits
-    /// depend on the order the caller feeds.
-    pub fn fold(registered: usize, socs: impl IntoIterator<Item = f64>) -> Self {
-        let mut stats = FleetStats {
-            cells: registered,
-            reporting: 0,
-            mean_soc: 0.0,
-            min_soc: f64::MAX,
-            max_soc: f64::MIN,
-        };
-        for soc in socs {
-            stats.reporting += 1;
-            stats.mean_soc += soc;
-            stats.min_soc = stats.min_soc.min(soc);
-            stats.max_soc = stats.max_soc.max(soc);
-        }
-        if stats.reporting == 0 {
-            stats.min_soc = 0.0;
-            stats.max_soc = 0.0;
-        } else {
-            stats.mean_soc /= stats.reporting as f64;
-        }
-        stats
-    }
 }
 
 /// Histogram of SoC values: `bins` equal buckets over `[0, 1]`, the last
@@ -1184,7 +1140,8 @@ impl FleetEngine {
         out
     }
 
-    /// Fleet-level summary statistics, folded in shard order.
+    /// Fleet-level summary statistics, folded in shard order (the fold is
+    /// order-free, so any order gives the same bits).
     pub fn stats(&self) -> FleetStats {
         FleetStats::fold(self.len(), self.estimates().map(|(_, soc)| soc))
     }
@@ -1221,6 +1178,13 @@ impl FleetEngine {
             .map(|idx| self.shard(idx).first_reports)
             .sum();
         self.membership_changes + first_reports
+    }
+
+    /// How many positions [`Self::for_each_changed`] visits.
+    pub fn changed_count(&self) -> usize {
+        (0..self.shards.len())
+            .map(|idx| self.shard(idx).changed.len())
+            .sum()
     }
 
     /// Calls `f` with the position of every cell the most recent

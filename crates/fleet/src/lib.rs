@@ -35,8 +35,11 @@
 //! - [`ModelRegistry`] hot-swaps trained models (loaded via
 //!   `pinnsoc-nn::persist`) without stalling in-flight readers: workers pin
 //!   an `Arc` snapshot per pass, so a swap lands at the next pass.
-//! - Fleet-level queries: SoC histograms, cells below a threshold, and
-//!   per-cell predicted time-to-empty. Per-stage timing
+//! - Fleet-level queries: SoC histograms, cells below a threshold,
+//!   per-cell predicted time-to-empty, and [`FleetStats`] from an
+//!   order-free [`SocAggregate`] (fixed-point sum, min and max with their
+//!   counts), so partials kept elsewhere and merged give the engine's own
+//!   bits. Per-stage timing
 //!   ([`StageTimes`]: gather / GEMM / scatter) backs the bench harness's
 //!   breakdown.
 //!
@@ -58,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod aggregate;
 pub mod cell;
 pub mod engine;
 mod id_index;
@@ -66,13 +70,13 @@ mod pool;
 pub mod registry;
 pub mod telemetry;
 
+pub use aggregate::{FleetStats, SocAggregate};
 pub use cell::{
     AbsorbOutcome, CellConfig, CellPersist, CellSnapshot, CellStore, EstimateBreakdown,
     EstimateEntry, SocEstimate,
 };
 pub use engine::{
-    soc_histogram, FleetConfig, FleetEngine, FleetStats, ServingMode, StageTimes, TelemetryStats,
-    WorkloadQuery,
+    soc_histogram, FleetConfig, FleetEngine, ServingMode, StageTimes, TelemetryStats, WorkloadQuery,
 };
 pub use registry::{GateCertificate, GateTolerance, InstallError, ModelRegistry, ServingSnapshot};
 pub use telemetry::{CellId, Telemetry};

@@ -43,7 +43,9 @@
 //! which path ran.
 
 use crate::snapshot::ServeSnapshot;
-use pinnsoc_fleet::{CellId, EstimateBreakdown, EstimateEntry, FleetEngine, SocEstimate};
+use pinnsoc_fleet::{
+    CellId, EstimateBreakdown, EstimateEntry, FleetEngine, SocAggregate, SocEstimate,
+};
 use std::sync::Arc;
 
 /// One snapshot entry.
@@ -71,6 +73,11 @@ pub(crate) struct LaneEstimates {
     /// One entry per engine position; positions whose cell has not
     /// reported hold a placeholder.
     entries: Vec<EstimateEntry>,
+    /// Each entry's best-estimate SoC (0 for the placeholders), so a
+    /// refresh reads a changed position's old value from one `f64`.
+    socs: Vec<f64>,
+    /// The SoC aggregate of the lane's reporting cells.
+    aggregate: SocAggregate,
     /// The engine's membership epoch when `entries` were last brought up
     /// to date, or `None` while they are not known to be current.
     epoch: Option<u64>,
@@ -85,29 +92,72 @@ impl LaneEstimates {
     }
 
     /// Makes room for an engine of `cells` cells. The tier calls this on
-    /// the tick thread before the lane's task runs, so the buffer comes
+    /// the tick thread before the lane's task runs, so the buffers come
     /// from the tier thread's allocator arena. Grown by a lane-pool helper
-    /// instead, it cost ≈ 2 MB more peak RSS (four lanes of 25k cells,
-    /// glibc): memory freed into a helper's arena is not reused by other
-    /// threads.
+    /// instead, the entries cost ≈ 2 MB more peak RSS (four lanes of 25k
+    /// cells, glibc): memory freed into a helper's arena is not reused by
+    /// other threads.
     pub(crate) fn reserve(&mut self, cells: usize) {
         self.entries
             .reserve_exact(cells.saturating_sub(self.entries.len()));
+        self.socs
+            .reserve_exact(cells.saturating_sub(self.socs.len()));
     }
 
-    /// Brings the entries up to date after the engine's pass. If they were
-    /// current at the engine's present epoch (`known`, from
-    /// [`Self::invalidate`]), positions held and only the cells the pass
-    /// changed are rewritten; otherwise every position is.
+    /// The aggregate of the lane's reporting cells, as of the last
+    /// [`Self::refresh`].
+    pub(crate) fn aggregate(&self) -> &SocAggregate {
+        &self.aggregate
+    }
+
+    /// Brings the entries and the aggregate up to date after the engine's
+    /// pass. If they were current at the engine's present epoch (`known`,
+    /// from [`Self::invalidate`]), positions held and only the cells the
+    /// pass changed are rewritten, each swapping its old SoC for its new
+    /// one in the aggregate; otherwise every position is, and the
+    /// aggregate is folded afresh. So is it when every reporting cell
+    /// changed (the new values are then all there is), or when a change
+    /// took the last copy of the lane's min or max (from the SoC column).
     pub(crate) fn refresh(&mut self, engine: &FleetEngine, known: Option<u64>) {
         let epoch = engine.membership_epoch();
-        let entries = &mut self.entries;
-        if known != Some(epoch) {
-            entries.clear();
-            entries.resize(engine.len(), EstimateEntry::default());
-            engine.for_each_entry(|position, entry| entries[position] = entry);
+        let every = known != Some(epoch);
+        if every {
+            self.entries.clear();
+            self.entries.resize(engine.len(), EstimateEntry::default());
+            self.socs.clear();
+            self.socs.resize(engine.len(), 0.0);
+        }
+        let fresh = every || engine.changed_count() == self.aggregate.reporting();
+        let Self {
+            entries,
+            socs,
+            aggregate,
+            ..
+        } = self;
+        // Stores one position's entry and SoC; returns its old and new SoC.
+        let mut write = |position: usize, entry: EstimateEntry| {
+            let soc = entry.best().0;
+            entries[position] = entry;
+            (std::mem::replace(&mut socs[position], soc), soc)
+        };
+        if fresh {
+            *aggregate = SocAggregate::EMPTY;
+            let add = |position, entry| aggregate.add(write(position, entry).1);
+            if every {
+                engine.for_each_entry(add);
+            } else {
+                engine.for_each_changed_entry(add);
+            }
         } else {
-            engine.for_each_changed_entry(|position, entry| entries[position] = entry);
+            engine.for_each_changed_entry(|position, entry| {
+                let (old, new) = write(position, entry);
+                aggregate.remove(old);
+                aggregate.add(new);
+            });
+            if !aggregate.is_exact() {
+                *aggregate = SocAggregate::EMPTY;
+                engine.for_each_reporting(|position, _| aggregate.add(socs[position]));
+            }
         }
         self.epoch = Some(epoch);
     }
@@ -284,7 +334,7 @@ impl IdDirectory {
 mod tests {
     use super::*;
     use pinnsoc_fleet::testing::untrained_model;
-    use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
+    use pinnsoc_fleet::{CellConfig, FleetConfig, FleetStats, Telemetry};
 
     fn engine(shards: usize) -> FleetEngine {
         FleetEngine::new(
@@ -362,11 +412,25 @@ mod tests {
                 reclaimed,
                 false,
             );
-            let next = ServeSnapshot::build(0, 0, 0, placed.cells, placed.ids, placed.socs);
+            let mut aggregate = SocAggregate::EMPTY;
+            for (engine, estimates) in engines.iter().zip(&self.estimates) {
+                if engine.is_some() {
+                    aggregate.merge(estimates.aggregate());
+                }
+            }
+            let next =
+                ServeSnapshot::build(0, 0, 0, placed.cells, placed.ids, placed.socs, aggregate);
             self.displaced = Some(std::mem::replace(&mut self.current, next));
             let mut expected = Vec::new();
-            for engine in engines.iter().flatten() {
-                engine.for_each_breakdown(|id, b| expected.push((id, b.best.0.to_bits())));
+            for (engine, estimates) in engines.iter().zip(&self.estimates) {
+                let Some(engine) = engine else { continue };
+                let mut socs = Vec::new();
+                engine.for_each_breakdown(|id, b| {
+                    expected.push((id, b.best.0.to_bits()));
+                    socs.push(b.best.0);
+                });
+                // Each lane's kept partial equals a fold from scratch.
+                assert_eq!(*estimates.aggregate(), SocAggregate::fold(socs));
             }
             expected.sort_unstable_by_key(|(id, _)| *id);
             let got: Vec<_> = self
@@ -402,6 +466,130 @@ mod tests {
         // A pinned old buffer: the tick patches a copy of the current one.
         assert_eq!(tier.tick(&mut engines, true), (false, 1));
         assert_eq!(tier.tick(&mut engines, false), (false, 0));
+    }
+
+    /// Reports a discharge at `voltage_v`; the untrained model spreads
+    /// these estimates over ≈ 0.28–0.34 SoC, no two cells alike.
+    fn report_at(engine: &mut FleetEngine, id: CellId, time_s: f64, voltage_v: f64) {
+        engine.ingest(
+            id,
+            Telemetry {
+                time_s,
+                voltage_v,
+                current_a: -4.0,
+                temperature_c: 25.0,
+            },
+        );
+    }
+
+    /// Two lanes of 2 and 3 shards holding ids `0..cells`, odd ids on the
+    /// second, each reporting a distinct estimate.
+    fn spread_lanes(cells: CellId) -> Lanes {
+        let mut engines = [Some(engine(2)), Some(engine(3))];
+        for id in 0..cells {
+            let engine = engines[(id % 2) as usize].as_mut().unwrap();
+            register(engine, id);
+            report_at(engine, id, 1.0, 3.5 + 0.01 * id as f64);
+        }
+        engines
+    }
+
+    /// The one cell holding the snapshot's min (or max) SoC.
+    fn holder(snapshot: &ServeSnapshot, soc: f64) -> CellId {
+        let holders: Vec<CellId> = snapshot
+            .cells
+            .iter()
+            .filter(|(_, b)| b.best.0 == soc)
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(holders.len(), 1, "{soc} must be held by one cell");
+        holders[0]
+    }
+
+    #[test]
+    fn delta_refresh_moving_the_unique_extremes_matches_a_fold() {
+        let mut engines = spread_lanes(40);
+        let mut tier = Tier::new();
+        tier.tick(&mut engines, false);
+        let before = tier.current.stats();
+        let (low, high) = (
+            holder(&tier.current, before.min_soc),
+            holder(&tier.current, before.max_soc),
+        );
+        // Both take a middle cell's reading: the lanes that held them lose
+        // their extremes in a delta refresh.
+        for id in [low, high] {
+            let engine = engines[(id % 2) as usize].as_mut().unwrap();
+            report_at(engine, id, 2.0, 3.5 + 0.01 * 20.0);
+        }
+        assert_eq!(tier.tick(&mut engines, false), (false, 2));
+        let after = tier.current.stats();
+        assert!(after.min_soc > before.min_soc && after.max_soc < before.max_soc);
+        assert_ne!(after.mean_soc, before.mean_soc);
+    }
+
+    #[test]
+    fn a_tick_changing_every_position_matches_a_fold() {
+        let mut engines = spread_lanes(40);
+        let mut tier = Tier::new();
+        tier.tick(&mut engines, false);
+        let before = tier.current.stats();
+        for id in 0..40 {
+            let engine = engines[(id % 2) as usize].as_mut().unwrap();
+            report_at(engine, id, 2.0, 3.55 + 0.005 * id as f64);
+        }
+        assert_eq!(tier.tick(&mut engines, false), (false, 40));
+        let after = tier.current.stats();
+        assert_eq!(after.reporting, 40);
+        assert_ne!(
+            (after.min_soc, after.max_soc),
+            (before.min_soc, before.max_soc)
+        );
+    }
+
+    #[test]
+    fn cells_that_have_not_reported_stay_out_of_the_aggregate() {
+        let mut engines = spread_lanes(40);
+        // Silent cells: their positions hold placeholders with SoC 0,
+        // below every reported estimate.
+        for id in 100..110 {
+            register(engines[(id % 2) as usize].as_mut().unwrap(), id);
+        }
+        let mut tier = Tier::new();
+        tier.tick(&mut engines, false);
+        let before = tier.current.stats();
+        assert_eq!((before.cells, before.reporting), (0, 40));
+        assert!(before.min_soc > 0.2);
+        // Moving the min cell makes its lane refold its partial from the
+        // SoC column, which must skip the placeholders.
+        let low = holder(&tier.current, before.min_soc);
+        let engine = engines[(low % 2) as usize].as_mut().unwrap();
+        report_at(engine, low, 2.0, 3.5 + 0.01 * 20.0);
+        assert_eq!(tier.tick(&mut engines, false), (false, 1));
+        assert!(tier.current.stats().min_soc > before.min_soc);
+    }
+
+    #[test]
+    fn losing_and_recovering_the_lane_with_the_global_min() {
+        let mut engines = spread_lanes(40);
+        let mut tier = Tier::new();
+        tier.tick(&mut engines, false);
+        let before = tier.current.stats();
+        let lane = (holder(&tier.current, before.min_soc) % 2) as usize;
+        let persisted = engines[lane].take().unwrap().export_cells();
+        assert!(tier.tick(&mut engines, false).0);
+        let down = tier.current.stats();
+        assert_eq!(down.reporting, 20);
+        assert!(down.min_soc > before.min_soc);
+        // Recovered with another shard count, from the lane's own cells.
+        let mut back = engine(4);
+        back.import_cells(&persisted);
+        engines[lane] = Some(back);
+        assert!(tier.tick(&mut engines, false).0);
+        let after = tier.current.stats();
+        let bits = |s: FleetStats| [s.mean_soc, s.min_soc, s.max_soc].map(f64::to_bits);
+        assert_eq!(after.reporting, 40);
+        assert_eq!(bits(after), bits(before));
     }
 
     type Lanes = [Option<FleetEngine>; 2];

@@ -19,14 +19,17 @@
 //!   since it was current. A steady tick therefore allocates nothing and
 //!   costs what changed, not what exists. If a reader still pins the old
 //!   snapshot, the tick clones the current one and patches the clone.
-//! - Aggregates are computed in **id order**, giving every float reduction
-//!   one canonical summation order. That is what makes tier outputs
-//!   bit-identical across engine counts, per-engine shard counts, and
-//!   worker counts: placement changes where a cell lives, never where it
-//!   lands in id order. Each snapshot keeps id and best-estimate SoC
-//!   columns beside its cells; the fold, the histogram, the threshold scan
-//!   and the id lookup stream those 8-byte columns, not the 88-byte
-//!   entries.
+//! - Aggregates are **order-free**: [`SocAggregate`] sums SoCs in integer
+//!   fixed point and keeps min and max with their counts, so any order
+//!   and any split into partials give the same bits. Each lane keeps its
+//!   own cells' partial up to date in its refresh, and publish merges one
+//!   partial per live lane. That, and placing cells by id rank, is what
+//!   makes tier outputs bit-identical across engine counts, per-engine
+//!   shard counts, and worker counts, and equal to
+//!   [`pinnsoc_fleet::FleetEngine::stats`] over the same cells. Each
+//!   snapshot keeps id and best-estimate SoC columns beside its cells; the
+//!   histogram, the threshold scan and the id lookup stream those 8-byte
+//!   columns, not the 88-byte entries.
 //! - A snapshot is built without reading engine cell state. Each lane
 //!   keeps its engine's estimates in a position-indexed buffer, refreshed
 //!   by the lane's own task right after its pass (in parallel across
@@ -36,10 +39,11 @@
 //!   membership change (register, deregister, a cell's first report, a
 //!   lane crash or recovery) ranks the cells afresh. Patch and rebuild
 //!   both hand [`ServeSnapshot`] the same id-ascending cells, so its
-//!   contents and aggregates do not depend on which one ran. The fold
-//!   over the SoC column is the last step of a publish.
+//!   contents do not depend on which one ran. Merging the lanes'
+//!   aggregates is the last step of a publish; debug builds check the
+//!   result against a fold of the published SoC column.
 
-use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetStats};
+use pinnsoc_fleet::{CellId, EstimateBreakdown, FleetStats, SocAggregate};
 use std::sync::{Arc, RwLock};
 
 /// An immutable view of every reporting cell in the tier at one tick
@@ -66,12 +70,19 @@ pub struct ServeSnapshot {
 impl ServeSnapshot {
     /// The empty snapshot readers see before the first tick.
     pub fn empty() -> Self {
-        Self::build(0, 0, 0, Vec::new(), Arc::default(), Vec::new())
+        Self::build(
+            0,
+            0,
+            0,
+            Vec::new(),
+            Arc::default(),
+            Vec::new(),
+            SocAggregate::EMPTY,
+        )
     }
 
-    /// Builds a snapshot from id-ascending cells and their id and
-    /// best-estimate SoC columns, folding the aggregates in that canonical
-    /// order.
+    /// Builds a snapshot from id-ascending cells, their id and
+    /// best-estimate SoC columns, and the aggregate of that SoC column.
     pub(crate) fn build(
         tick: u64,
         registered: usize,
@@ -79,6 +90,7 @@ impl ServeSnapshot {
         cells: Vec<(CellId, EstimateBreakdown)>,
         ids: Arc<[CellId]>,
         socs: Vec<f64>,
+        aggregate: SocAggregate,
     ) -> Self {
         debug_assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
@@ -93,7 +105,12 @@ impl ServeSnapshot {
                     .all(|((id, b), (i, soc))| { id == i && b.best.0.to_bits() == soc.to_bits() }),
             "the id and SoC columns must mirror the cells"
         );
-        let stats = FleetStats::fold(registered, socs.iter().copied());
+        debug_assert_eq!(
+            aggregate,
+            SocAggregate::fold(socs.iter().copied()),
+            "the kept aggregate must equal a fold of the SoC column"
+        );
+        let stats = aggregate.finish(registered);
         ServeSnapshot {
             tick,
             registered,
@@ -105,8 +122,8 @@ impl ServeSnapshot {
         }
     }
 
-    /// Fleet-level summary over the snapshot's reporting cells, folded in
-    /// id order (bit-stable across tier topology).
+    /// Fleet-level summary over the snapshot's reporting cells (order-free,
+    /// so bit-stable across tier topology).
     pub fn stats(&self) -> FleetStats {
         self.stats
     }
@@ -207,8 +224,9 @@ mod tests {
         cells: Vec<(CellId, EstimateBreakdown)>,
     ) -> ServeSnapshot {
         let ids = cells.iter().map(|(id, _)| *id).collect();
-        let socs = cells.iter().map(|(_, b)| b.best.0).collect();
-        ServeSnapshot::build(tick, registered, 1, cells, ids, socs)
+        let socs: Vec<f64> = cells.iter().map(|(_, b)| b.best.0).collect();
+        let aggregate = SocAggregate::fold(socs.iter().copied());
+        ServeSnapshot::build(tick, registered, 1, cells, ids, socs, aggregate)
     }
 
     #[test]
@@ -219,9 +237,9 @@ mod tests {
         assert_eq!(stats.reporting, 3);
         assert_eq!(stats.min_soc, 0.2);
         assert_eq!(stats.max_soc, 0.8);
-        // Canonical order: id order is 1, 4, 9 → 0.8 then 0.5 then 0.2.
-        let expected: f64 = (0.8 + 0.5 + 0.2) / 3.0;
-        assert_eq!(stats.mean_soc.to_bits(), expected.to_bits());
+        let expected = FleetStats::fold(5, [0.2, 0.8, 0.5]);
+        assert_eq!(stats.mean_soc.to_bits(), expected.mean_soc.to_bits());
+        assert!((stats.mean_soc - 0.5).abs() < 1e-15);
         assert_eq!(snap.breakdown(4).expect("present").best.0, 0.5);
         assert!(snap.breakdown(2).is_none());
         assert_eq!(snap.cells_below(0.6), vec![4, 9]);

@@ -14,15 +14,16 @@
 //!            (lane-owned buffer)      (resolve slots, then absorb)  │   or ≤ capacity)
 //!            ◀──────────────────────────────────────────────────────┘
 //!            process_pending: pass (+ WAL flush, snapshot on a durable lane)
-//!            refresh: changed cells (slot order) ──▶ lane estimate buffer
+//!            refresh: changed cells (slot order) ──▶ lane estimate buffer + SoC column
 //!                     (every position after a membership change)
+//!                     old SoC out, new SoC in ──▶ lane SocAggregate
 //!                                        │
 //!          join: every lane back in its seat ──▶ one publish (tick thread):
 //!          membership_epoch per lane ──▶ same as last publish?
 //!             yes: for_each_changed ──▶ rank bitmap ──▶ merge into reclaimed buffer ─┐
 //!             no:  reporting sweep ──▶ sort by id ──▶ new ranks, merge all ───────────┤
 //!                  (the merge reads the lane buffers, in rank order)                  ▼
-//!                         fold ──▶ ServeSnapshot (cells + id/SoC columns) ──▶ publish
+//!          fold: merge one SocAggregate per lane ──▶ ServeSnapshot (cells + id/SoC columns) ──▶ publish
 //!                                        │
 //! readers ──SnapshotReader::snapshot──▶ Arc clone, query off-lock
 //! ```
@@ -58,7 +59,8 @@
 //! one drain path; a durable lane logs each chunk's reports to its WAL
 //! first. Then the lane runs its batch pass (plus the WAL flush and any
 //! due snapshot on a durable lane), and refreshes its estimate buffer: one
-//! compact [`pinnsoc_fleet::EstimateEntry`] per engine position, rewritten
+//! compact [`pinnsoc_fleet::EstimateEntry`] and best-estimate SoC per
+//! engine position, plus the aggregate of those SoCs, rewritten
 //! for the cells the pass changed (read shard by shard, in slot order), or
 //! for every position when the buffer is not known to be current (the
 //! lane's first tick, a membership change, a pass that returned an error,
@@ -77,8 +79,13 @@
 //! sets the ranks whose cells this tick's passes estimated in a bitmap,
 //! and merges those (and the previous tick's) from the lane buffers into
 //! the snapshot buffer it reclaims, in rank order. It sweeps and sorts only
-//! on the tick membership changes. The aggregate fold over the SoC column
-//! follows. Tracing shows the two as `place` and `fold` under `publish`.
+//! on the tick membership changes. The aggregates follow without a sweep:
+//! each lane's refresh also keeps an order-free
+//! [`pinnsoc_fleet::SocAggregate`] of its reporting cells (swapping each
+//! changed cell's old SoC for its new one), and publish merges one per
+//! live lane, so the fold costs O(lanes), not O(cells), and gives the same
+//! bits for any topology. Tracing shows the two as `place` and `fold`
+//! under `publish`.
 //!
 //! Ingest-to-estimate latency (producer enqueue to snapshot publish) is
 //! measured per frame only while something consumes it. Attaching an
@@ -99,7 +106,9 @@ use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotSlot};
 use pinnsoc::SocModel;
 use pinnsoc_durable::{record_recovery, recover, DurableConfig, DurableFleet, RecoveryReport};
 use pinnsoc_fleet::runtime::{Done, NoContext, PoolObs, PoolTask, WorkerPool};
-use pinnsoc_fleet::{CellConfig, CellId, FleetConfig, FleetEngine, Telemetry, TelemetryStats};
+use pinnsoc_fleet::{
+    CellConfig, CellId, FleetConfig, FleetEngine, SocAggregate, Telemetry, TelemetryStats,
+};
 use pinnsoc_obs::{FlightRecorder, LocalMetrics, MetricId, ObsHub, SpanId, TraceSink};
 use std::io;
 use std::path::PathBuf;
@@ -665,9 +674,9 @@ impl ServeTier {
     /// `engine_tick` → `pass` → stage tree and, on a durable lane, a
     /// `wal_flush` span (the tick-boundary WAL encode + checksum + write
     /// that follows the pass) and a `refresh` span (the lane's estimate
-    /// buffer refresh). A `publish` span covers building the snapshot after
-    /// the join, split into `place` (the rank-order merge from the lane
-    /// buffers) and `fold` (the aggregates). A lane recovered by
+    /// buffer and aggregate refresh). A `publish` span covers building the
+    /// snapshot after the join, split into `place` (the rank-order merge
+    /// from the lane buffers) and `fold` (merging the lanes' aggregates). A lane recovered by
     /// [`Self::recover_engine`] re-attaches automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
@@ -941,7 +950,7 @@ impl ServeTier {
         // Every live lane's reporting cells, placed in id order by the
         // directory from the lanes' refreshed estimates: patching the
         // changed ranks, or re-ranking after a membership change (see the
-        // `directory` module docs). Then the aggregate fold.
+        // `directory` module docs). Then the lanes' aggregates, merged.
         let publish_start = tracing.then(Instant::now);
         let publish_span = match self.tracer.as_mut() {
             Some(tracer) if tracing => tracer.sink.open(),
@@ -969,6 +978,10 @@ impl ServeTier {
             !synced,
         );
         let fold_start = tracing.then(Instant::now);
+        let mut aggregate = SocAggregate::EMPTY;
+        for lane in lanes.iter().filter(|lane| lane.backend.engine().is_some()) {
+            aggregate.merge(lane.buffers.estimates.aggregate());
+        }
         let snapshot = Arc::new(ServeSnapshot::build(
             self.tick,
             registered,
@@ -976,6 +989,7 @@ impl ServeTier {
             placed.cells,
             placed.ids,
             placed.socs,
+            aggregate,
         ));
         let folded = tracing.then(Instant::now);
         let snapshot_cells = snapshot.cells.len();

@@ -167,6 +167,9 @@ fn snapshot_queries_match_direct_engine_queries() {
     let direct = engine.stats();
     assert_eq!(stats.cells, direct.cells);
     assert_eq!(stats.reporting, direct.reporting);
+    // The engine folds in shard order, the tier merges lane partials: the
+    // aggregates are order-free, so even the mean's bits agree.
+    assert_eq!(stats.mean_soc.to_bits(), direct.mean_soc.to_bits());
     assert_eq!(stats.min_soc.to_bits(), direct.min_soc.to_bits());
     assert_eq!(stats.max_soc.to_bits(), direct.max_soc.to_bits());
 }
