@@ -8,9 +8,10 @@
 //! snapshots (per-lane partials kept up to date by the lanes, merged at
 //! publish) therefore report the same bits for the same cells.
 
-/// Fixed-point scale of the sum: a SoC in `[0, 1]` counts as
-/// `⌊soc · 2⁶²⌋`, so 2⁶⁴ SoCs cannot overflow the `i128` sum.
-const SCALE: f64 = (1u64 << 62) as f64;
+/// Fixed-point unit of the sum: a SoC in `[0, 1]` counts as
+/// `soc · 2⁵²` rounded to the nearest integer (ties to even), read off the
+/// bits of `soc + 1`; see [`fixed`].
+const UNIT: f64 = (1u64 << 52) as f64;
 
 /// Fleet-level summary statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,19 +48,20 @@ impl FleetStats {
 ///
 /// Every value is first made canonical: NaN is counted on its own (it
 /// makes the mean NaN and is ignored by min and max); anything else is
-/// clamped into `[0, 1]` (best-estimate SoCs already are) with −0 read as
-/// +0, so min and max are taken over a total order. Folding the same
-/// values in any order, or merging any partition of them, therefore gives
-/// an equal aggregate, field for field.
+/// clamped into `[0, 1]` (best-estimate SoCs already are), and a min or
+/// max of zero is stored as +0 whichever zero set it, so min and max are
+/// taken over a total order. Folding the same values in any order, or
+/// merging any partition of them, therefore gives an equal aggregate,
+/// field for field.
 ///
 /// [`Self::remove`] can take away the last copy of the min (or max). The
 /// aggregate then knows only that every value left lies above the old min
 /// ([`Self::is_exact`] reads false) until an added value at or below it
-/// restores it; a caller that keeps a partial up to date rebuilds it from
-/// its values in that case.
+/// restores it; a caller that keeps a partial up to date rescans its
+/// values for the extremes in that case ([`Self::rescan_extremes`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocAggregate {
-    /// Σ ⌊soc · 2⁶²⌋ over non-NaN values.
+    /// Σ [`fixed`]`(soc)` over non-NaN values.
     sum: i128,
     reporting: usize,
     nan: usize,
@@ -116,24 +118,12 @@ impl SocAggregate {
     #[inline]
     pub fn add(&mut self, soc: f64) {
         self.reporting += 1;
-        if soc.is_nan() {
+        let Some(soc) = canonical(soc) else {
             self.nan += 1;
             return;
-        }
-        let soc = canonical(soc);
+        };
         self.sum += fixed(soc);
-        // Below a lost min's bound, a value is the new unique min; at the
-        // bound it is the only copy of the min.
-        if soc < self.min {
-            (self.min, self.min_count) = (soc, 1);
-        } else if soc == self.min {
-            self.min_count += 1;
-        }
-        if soc > self.max {
-            (self.max, self.max_count) = (soc, 1);
-        } else if soc == self.max {
-            self.max_count += 1;
-        }
+        self.count_extremes(soc);
     }
 
     /// Takes away one value earlier counted by [`Self::add`].
@@ -141,25 +131,64 @@ impl SocAggregate {
     pub fn remove(&mut self, soc: f64) {
         debug_assert!(self.reporting > 0, "removing from an empty aggregate");
         self.reporting -= 1;
-        if soc.is_nan() {
+        let Some(soc) = canonical(soc) else {
             self.nan -= 1;
             return;
-        }
-        let soc = canonical(soc);
+        };
         self.sum -= fixed(soc);
         if self.reporting == self.nan {
             // No value left to bound: back to the empty min and max.
             (self.min, self.min_count) = (f64::INFINITY, 0);
             (self.max, self.max_count) = (f64::NEG_INFINITY, 0);
-            return;
+        } else {
+            // The last copy leaves its value behind as a bound. No branch
+            // on equality, as in `count_extremes`.
+            self.min_count -= usize::from(soc == self.min);
+            self.max_count -= usize::from(soc == self.max);
         }
-        // The last copy leaves its value behind as a bound.
-        if soc == self.min {
-            self.min_count -= 1;
+    }
+
+    /// Counts a canonical value into min and max. A value strictly
+    /// beyond either is rare after the first few; one equal to either is
+    /// not (thousands of cells can sit at a clamped 0), so equality adds
+    /// to the counts without a branch a mispredict would make costly.
+    #[inline]
+    fn count_extremes(&mut self, soc: f64) {
+        if soc < self.min || soc > self.max {
+            // A zero is stored as +0 whichever zero came first.
+            let soc = soc + 0.0;
+            // Below a lost min's bound, a value is the new unique min; at
+            // the bound it is the only copy of the min.
+            if soc < self.min {
+                (self.min, self.min_count) = (soc, 1);
+            } else if soc == self.min {
+                self.min_count += 1;
+            }
+            if soc > self.max {
+                (self.max, self.max_count) = (soc, 1);
+            } else if soc == self.max {
+                self.max_count += 1;
+            }
+        } else {
+            self.min_count += usize::from(soc == self.min);
+            self.max_count += usize::from(soc == self.max);
         }
-        if soc == self.max {
-            self.max_count -= 1;
+    }
+
+    /// Recomputes min and max, with how many values hold each, from
+    /// `socs`: every value counted, in any order, plus any number of NaNs
+    /// (min and max skip them). This makes the aggregate exact again after
+    /// [`Self::remove`] took the last copy of an extreme, at the cost of
+    /// one compare-only pass; the sum and the counts, which `add` and
+    /// `remove` keep exactly, are left as they are.
+    pub fn rescan_extremes(&mut self, socs: impl IntoIterator<Item = f64>) {
+        let mut extremes = Self::EMPTY;
+        for soc in socs.into_iter().filter_map(canonical) {
+            extremes.count_extremes(soc);
         }
+        (self.min, self.min_count) = (extremes.min, extremes.min_count);
+        (self.max, self.max_count) = (extremes.max, extremes.max_count);
+        debug_assert!(self.is_exact(), "rescanned values must be the counted ones");
     }
 
     /// Counts every value `other` counts.
@@ -183,10 +212,11 @@ impl SocAggregate {
     /// are the values counted.
     ///
     /// With `n` values counted, none NaN, and μ the exact mean of their
-    /// canonical values, `mean_soc` is `fl(fl(S) · 2⁻⁶² / n)` for the
-    /// exact integer sum `S`: truncation loses less than 2⁻⁶² per value
-    /// and each of the two roundings at most 2⁻⁵³ relative, so
-    /// `|mean_soc − μ| ≤ 2⁻⁶² + 2⁻⁵¹ · μ` (under 4.5 · 10⁻¹⁶, as μ ≤ 1).
+    /// canonical values, `mean_soc` is `fl(fl(S) · 2⁻⁵² / n)` for the
+    /// exact integer sum `S`: rounding each value to the fixed-point unit
+    /// moves it at most 2⁻⁵³, and each of the two float roundings at most
+    /// 2⁻⁵³ relative, so `|mean_soc − μ| ≤ 2⁻⁵² + 2⁻⁵¹ · μ` (under
+    /// 6.7 · 10⁻¹⁶, as μ ≤ 1).
     pub fn finish(&self, registered: usize) -> FleetStats {
         debug_assert!(self.is_exact(), "min or max lost to a removal");
         let mut stats = FleetStats {
@@ -202,7 +232,7 @@ impl SocAggregate {
         stats.mean_soc = if self.nan > 0 {
             f64::NAN
         } else {
-            self.sum as f64 / SCALE / self.reporting as f64
+            self.sum as f64 / UNIT / self.reporting as f64
         };
         (stats.min_soc, stats.max_soc) = if self.reporting == self.nan {
             (f64::NAN, f64::NAN)
@@ -213,14 +243,29 @@ impl SocAggregate {
     }
 }
 
-/// A non-NaN value clamped into `[0, 1]`, −0 read as +0.
+/// `None` for NaN; any other value clamped into `[0, 1]`. A value already
+/// in range (−0 included, which compares equal to +0) passes untouched
+/// after one range check, the only cost on the hot path.
 #[inline]
-fn canonical(soc: f64) -> f64 {
-    soc.clamp(0.0, 1.0) + 0.0
+fn canonical(soc: f64) -> Option<f64> {
+    if (0.0..=1.0).contains(&soc) {
+        Some(soc)
+    } else {
+        out_of_range(soc)
+    }
 }
 
-/// A canonical value's fixed-point count, truncated.
+#[cold]
+fn out_of_range(soc: f64) -> Option<f64> {
+    (!soc.is_nan()).then(|| soc.clamp(0.0, 1.0))
+}
+
+/// A canonical value's fixed-point count: `soc + 1` lies in `[1, 2]`,
+/// where doubles are spaced 2⁻⁵² apart, so the float addition rounds
+/// `soc` to the unit and the bits past 1.0 count the units (2⁵² for
+/// 1.0). An add and a subtract, with no saturating float-to-integer
+/// conversion.
 #[inline]
 fn fixed(soc: f64) -> i128 {
-    (soc * SCALE) as i64 as i128
+    i128::from((soc + 1.0).to_bits() - 1f64.to_bits())
 }

@@ -73,8 +73,10 @@ pub(crate) struct LaneEstimates {
     /// One entry per engine position; positions whose cell has not
     /// reported hold a placeholder.
     entries: Vec<EstimateEntry>,
-    /// Each entry's best-estimate SoC (0 for the placeholders), so a
-    /// refresh reads a changed position's old value from one `f64`.
+    /// Each entry's best-estimate SoC (NaN for the placeholders, which
+    /// the aggregate's min and max skip), so a refresh reads a changed
+    /// position's old value from one `f64` and can rescan the lane's
+    /// extremes without reading the engine.
     socs: Vec<f64>,
     /// The SoC aggregate of the lane's reporting cells.
     aggregate: SocAggregate,
@@ -113,11 +115,17 @@ impl LaneEstimates {
     /// Brings the entries and the aggregate up to date after the engine's
     /// pass. If they were current at the engine's present epoch (`known`,
     /// from [`Self::invalidate`]), positions held and only the cells the
-    /// pass changed are rewritten, each swapping its old SoC for its new
-    /// one in the aggregate; otherwise every position is, and the
-    /// aggregate is folded afresh. So is it when every reporting cell
-    /// changed (the new values are then all there is), or when a change
-    /// took the last copy of the lane's min or max (from the SoC column).
+    /// pass changed are rewritten; otherwise every position is, and the
+    /// aggregate is folded afresh from the reporting cells' entries.
+    ///
+    /// With positions held, the aggregate follows one of two ways. While
+    /// under half the positions changed, each changed cell swaps its old
+    /// SoC for its new one, and if that took the last copy of the lane's
+    /// min or max, the extremes alone are rescanned from the SoC column.
+    /// Otherwise (most cells changed, as on a saturated tick) the column
+    /// is folded afresh, taking min and max from the values as they now
+    /// are: a swap costs about two fold steps, so past half the positions
+    /// the fold is the cheaper pass.
     pub(crate) fn refresh(&mut self, engine: &FleetEngine, known: Option<u64>) {
         let epoch = engine.membership_epoch();
         let every = known != Some(epoch);
@@ -125,9 +133,9 @@ impl LaneEstimates {
             self.entries.clear();
             self.entries.resize(engine.len(), EstimateEntry::default());
             self.socs.clear();
-            self.socs.resize(engine.len(), 0.0);
+            self.socs.resize(engine.len(), f64::NAN);
         }
-        let fresh = every || engine.changed_count() == self.aggregate.reporting();
+        let refold = 2 * engine.changed_count() >= self.socs.len();
         let Self {
             entries,
             socs,
@@ -140,13 +148,18 @@ impl LaneEstimates {
             entries[position] = entry;
             (std::mem::replace(&mut socs[position], soc), soc)
         };
-        if fresh {
+        if every {
             *aggregate = SocAggregate::EMPTY;
-            let add = |position, entry| aggregate.add(write(position, entry).1);
-            if every {
-                engine.for_each_entry(add);
-            } else {
-                engine.for_each_changed_entry(add);
+            engine.for_each_entry(|position, entry| aggregate.add(write(position, entry).1));
+        } else if refold {
+            let reporting = aggregate.reporting();
+            engine.for_each_changed_entry(|position, entry| {
+                write(position, entry);
+            });
+            *aggregate = SocAggregate::fold(socs.iter().copied());
+            // Uncounts the NaN placeholders of cells that have not reported.
+            for _ in reporting..socs.len() {
+                aggregate.remove(f64::NAN);
             }
         } else {
             engine.for_each_changed_entry(|position, entry| {
@@ -155,8 +168,7 @@ impl LaneEstimates {
                 aggregate.add(new);
             });
             if !aggregate.is_exact() {
-                *aggregate = SocAggregate::EMPTY;
-                engine.for_each_reporting(|position, _| aggregate.add(socs[position]));
+                aggregate.rescan_extremes(socs.iter().copied());
             }
         }
         self.epoch = Some(epoch);
@@ -550,8 +562,8 @@ mod tests {
     #[test]
     fn cells_that_have_not_reported_stay_out_of_the_aggregate() {
         let mut engines = spread_lanes(40);
-        // Silent cells: their positions hold placeholders with SoC 0,
-        // below every reported estimate.
+        // Silent cells: their positions hold placeholder entries with SoC
+        // 0, below every reported estimate, and NaN in the SoC column.
         for id in 100..110 {
             register(engines[(id % 2) as usize].as_mut().unwrap(), id);
         }
@@ -560,13 +572,23 @@ mod tests {
         let before = tier.current.stats();
         assert_eq!((before.cells, before.reporting), (0, 40));
         assert!(before.min_soc > 0.2);
-        // Moving the min cell makes its lane refold its partial from the
+        // Moving the min cell makes its lane rescan its extremes from the
         // SoC column, which must skip the placeholders.
         let low = holder(&tier.current, before.min_soc);
         let engine = engines[(low % 2) as usize].as_mut().unwrap();
         report_at(engine, low, 2.0, 3.5 + 0.01 * 20.0);
         assert_eq!(tier.tick(&mut engines, false), (false, 1));
         assert!(tier.current.stats().min_soc > before.min_soc);
+        // Moving most cells makes each lane refold its column (15 of 25
+        // positions changed), which must uncount the placeholders.
+        for id in 0..30 {
+            let engine = engines[(id % 2) as usize].as_mut().unwrap();
+            report_at(engine, id, 3.0, 3.55 + 0.005 * id as f64);
+        }
+        assert_eq!(tier.tick(&mut engines, false), (false, 30));
+        let after = tier.current.stats();
+        assert_eq!(after.reporting, 40);
+        assert!(after.min_soc > 0.2 && !after.mean_soc.is_nan());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!            refresh: changed cells (slot order) ──▶ lane estimate buffer + SoC column
 //!                     (every position after a membership change)
 //!                     old SoC out, new SoC in ──▶ lane SocAggregate
+//!                     (folded afresh after a membership change, or from
+//!                     the SoC column when ≥ half the positions changed)
 //!                                        │
 //!          join: every lane back in its seat ──▶ one publish (tick thread):
 //!          membership_epoch per lane ──▶ same as last publish?
@@ -82,10 +84,11 @@
 //! on the tick membership changes. The aggregates follow without a sweep:
 //! each lane's refresh also keeps an order-free
 //! [`pinnsoc_fleet::SocAggregate`] of its reporting cells (swapping each
-//! changed cell's old SoC for its new one), and publish merges one per
-//! live lane, so the fold costs O(lanes), not O(cells), and gives the same
-//! bits for any topology. Tracing shows the two as `place` and `fold`
-//! under `publish`.
+//! changed cell's old SoC for its new one, or folding afresh after a
+//! membership change or when at least half its cells changed), and
+//! publish merges one per live lane, so the fold costs O(lanes), not
+//! O(cells), and gives the same bits for any topology. Tracing shows the
+//! two as `place` and `fold` under `publish`.
 //!
 //! Ingest-to-estimate latency (producer enqueue to snapshot publish) is
 //! measured per frame only while something consumes it. Attaching an
@@ -676,8 +679,9 @@ impl ServeTier {
     /// that follows the pass) and a `refresh` span (the lane's estimate
     /// buffer and aggregate refresh). A `publish` span covers building the
     /// snapshot after the join, split into `place` (the rank-order merge
-    /// from the lane buffers) and `fold` (merging the lanes' aggregates). A lane recovered by
-    /// [`Self::recover_engine`] re-attaches automatically.
+    /// from the lane buffers) and `fold` (merging the lanes' aggregates).
+    /// A lane recovered by [`Self::recover_engine`] re-attaches
+    /// automatically.
     pub fn attach_tracer(&mut self, recorder: &Arc<FlightRecorder>) {
         for (idx, lane) in self.lanes.iter_mut().enumerate() {
             let pid = idx as u32 + 1;
