@@ -148,6 +148,14 @@ impl SocAggregate {
         }
     }
 
+    /// Takes away `count` NaN values earlier counted by [`Self::add`], as
+    /// `count` calls of [`Self::remove`]`(f64::NAN)` would.
+    pub fn remove_nans(&mut self, count: usize) {
+        debug_assert!(self.nan >= count, "removing NaNs that were not counted");
+        self.reporting -= count;
+        self.nan -= count;
+    }
+
     /// Counts a canonical value into min and max. A value strictly
     /// beyond either is rare after the first few; one equal to either is
     /// not (thousands of cells can sit at a clamped 0), so equality adds

@@ -84,6 +84,10 @@ fn signed_zeros_and_nan_have_one_meaning() {
     let all_nan = FleetStats::fold(2, [f64::NAN, f64::NAN]);
     assert_eq!(all_nan.reporting, 2);
     assert!(all_nan.mean_soc.is_nan() && all_nan.min_soc.is_nan() && all_nan.max_soc.is_nan());
+    // Uncounting NaNs in one step leaves what a fold without them gives.
+    let mut placeheld = SocAggregate::fold([f64::NAN, 0.2, f64::NAN, 0.6, f64::NAN]);
+    placeheld.remove_nans(3);
+    assert_eq!(placeheld, SocAggregate::fold([0.2, 0.6]));
     let none = FleetStats::fold(4, []);
     assert_eq!(bits(&none), [4, 0, 0, 0, 0]);
 }

@@ -124,8 +124,12 @@ impl LaneEstimates {
     /// min or max, the extremes alone are rescanned from the SoC column.
     /// Otherwise (most cells changed, as on a saturated tick) the column
     /// is folded afresh, taking min and max from the values as they now
-    /// are: a swap costs about two fold steps, so past half the positions
-    /// the fold is the cheaper pass.
+    /// are. Refreshing one 25k-cell engine both ways on the same ticks
+    /// (2-vCPU x86-64 host), the two cost the same between about 45 % and
+    /// 65 % of positions changed; the swaps win below (0.4–0.8 µs against
+    /// 65–78 µs at 0.01 % changed, the `trickle` share), the fold above
+    /// (about 1.2–1.5× faster at 98.7–100 %, the `durable-int8-faults` and
+    /// `saturated` shares).
     pub(crate) fn refresh(&mut self, engine: &FleetEngine, known: Option<u64>) {
         let epoch = engine.membership_epoch();
         let every = known != Some(epoch);
@@ -158,9 +162,7 @@ impl LaneEstimates {
             });
             *aggregate = SocAggregate::fold(socs.iter().copied());
             // Uncounts the NaN placeholders of cells that have not reported.
-            for _ in reporting..socs.len() {
-                aggregate.remove(f64::NAN);
-            }
+            aggregate.remove_nans(socs.len() - reporting);
         } else {
             engine.for_each_changed_entry(|position, entry| {
                 let (old, new) = write(position, entry);

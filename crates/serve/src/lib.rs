@@ -37,8 +37,9 @@
 //! Everything stays under the workspace's bit-exactness contract: tier
 //! outputs (snapshot cells and aggregates) are bit-identical across
 //! worker counts, per-engine shard counts, and engine counts, because
-//! per-cell estimates are placement-independent and every tier-level
-//! reduction folds in ascending id order.
+//! per-cell estimates are placement-independent, cells are placed by id
+//! rank, and the aggregates ([`pinnsoc_fleet::SocAggregate`]) do not
+//! depend on the order or partition their values are folded in.
 //!
 //! ## Quick example
 //!

@@ -237,9 +237,14 @@ mod tests {
         assert_eq!(stats.reporting, 3);
         assert_eq!(stats.min_soc, 0.2);
         assert_eq!(stats.max_soc, 0.8);
-        let expected = FleetStats::fold(5, [0.2, 0.8, 0.5]);
-        assert_eq!(stats.mean_soc.to_bits(), expected.mean_soc.to_bits());
-        assert!((stats.mean_soc - 0.5).abs() < 1e-15);
+        // Id order is 1, 4, 9 → 0.8, 0.5, 0.2; the fixed-point sum of these
+        // is exactly 1.5, which the id-order float sum also gives.
+        let expected: f64 = (0.8 + 0.5 + 0.2) / 3.0;
+        assert_eq!(expected.to_bits(), 0.5f64.to_bits());
+        assert_eq!(stats.mean_soc.to_bits(), expected.to_bits());
+        // The aggregate is order-free: a permutation gives the same bits.
+        let permuted = FleetStats::fold(5, [0.2, 0.8, 0.5]);
+        assert_eq!(stats.mean_soc.to_bits(), permuted.mean_soc.to_bits());
         assert_eq!(snap.breakdown(4).expect("present").best.0, 0.5);
         assert!(snap.breakdown(2).is_none());
         assert_eq!(snap.cells_below(0.6), vec![4, 9]);
